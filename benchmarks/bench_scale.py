@@ -17,7 +17,7 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_scale.py            # full sweep
     PYTHONPATH=src python benchmarks/bench_scale.py --smoke    # n=256 only (CI)
 
-What it measures, per (algorithm, n) cell (schema ``bench-scale/v7``):
+What it measures, per (algorithm, n) cell (schema ``bench-scale/v8``):
 
 * wall time of ``run_until_quiescent`` (setup excluded, split into
   ``setup_s`` — cluster construction, O(n) total since the shared
@@ -82,34 +82,7 @@ What it measures, per (algorithm, n) cell (schema ``bench-scale/v7``):
   benchmark gate.  The cell's stall bound comes from
   :func:`lossy_thresholds` (suspicion periods again, but more of them:
   loss strikes repeatedly where a crash schedule strikes on cue),
-* since v6, the sweep carries one **sharded-engine pair** (``--shards N``;
-  on by default for the full sweep, at a fixed n = 65536): the same
-  streamed telemetry workload run through the conservative parallel
-  engine (:mod:`repro.simulation.sharding`) once at ``shards = N`` and
-  once at ``shards = 1`` — the sharded engine's own serial control (the
-  determinism contract compares sharded runs against *that*, never
-  against the classic engine, whose delay streams differ by design).
-  The sharded row gains the ``shards``/``shard_by``/``sync_rounds``/
-  ``merge_s``/``lookahead`` columns plus ``speedup_vs_shard_control``:
-  the **within-sweep** run-time ratio against the control row.  The ratio
-  is never comparable across machines — the config block records the core
-  count it was measured on (on a single-core runner the conservative
-  engine's window synchronisation makes the honest ratio < 1).  Neither
-  cell of the pair declares a ``max_grant_gap`` bound: the merged figure
-  is the worst *per-shard* gap, whose semantics differ from the global
-  serial gap.  ``--check-shards`` is the fourth CI gate: the pair's
-  aggregates and verdicts must agree exactly (requests, grants, messages,
-  safety/liveness verdicts, Jain index) — the sharded engine's
-  determinism contract, enforced on every smoke run,
-* since v7, the pair is a **triple**: the ``shards=1`` control, a
-  ``shard_window="classic"`` cell (the one-event-window rule of PR 7) and
-  the default seam-window cell.  All three agree on every parity column;
-  the seam cell must additionally spend **at most as many** ``sync_rounds``
-  as the classic cell (``--check-shards`` asserts both), and every sharded
-  row reports ``events_per_window`` — the batching figure the seam-aware
-  earliest-crossing bound exists to raise.  The seam row carries the
-  within-sweep comparison columns ``classic_sync_rounds`` and
-  ``sync_round_reduction`` (classic rounds / seam rounds).
+* v6 and v7 carried parallel single-run engine cells; v8 drops them with the engine.
 
 The open-cube rows are compared against ``PRE_CHANGE_BASELINE``: events/sec
 of the same workload/configuration measured on the engine as of the seed
@@ -127,7 +100,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from pathlib import Path
@@ -243,28 +215,6 @@ def failure_thresholds(n: int, *, cs_duration_estimate: float = 1.0) -> dict:
 LOSSY_N = 64
 LOSSY_LOSS_RATE = 0.01
 
-#: The sharded-engine cells (a pair since v6, a triple since v7) are pinned
-#: at this scale on the full sweep: the first n = 65536 telemetry rows of
-#: the trajectory.  Requests stay at 2*n (the cells exist to certify engine
-#: parity and record the within-sweep ratios, not to be the long-run
-#: workhorse cell).
-SHARD_SCALE_N = 65536
-
-#: Default shard count of the full sweep's sharded cell.  Deliberately
-#: modest: the conservative window protocol costs one synchronisation round
-#: per lookahead interval regardless of shard count, so wide fan-out only
-#: pays off when the cores exist (the config block records how many did).
-SHARD_SWEEP_SHARDS = 2
-
-#: Columns of the sharded cell that must match its shards=1 control
-#: bit-for-bit — the ``--check-shards`` gate (the sharded engine's
-#: determinism contract: sharding may only change wall time, never results).
-SHARD_PARITY_COLUMNS = (
-    "requests", "requests_granted", "total_messages",
-    "safety_ok", "liveness_ok", "jain_index",
-)
-
-
 def lossy_thresholds(n: int, *, cs_duration_estimate: float = 1.0) -> dict:
     """Stall gate of the lossy-network cell: many suspicion periods.
 
@@ -318,8 +268,6 @@ def make_spec(
     failures: FailureSpec | None = None,
     network: NetworkFaultSpec | None = None,
     thresholds: dict | None = None,
-    shards: int = 0,
-    shard_window: str = "seam",
 ) -> ScenarioSpec:
     """Declare one (algorithm, n) cell of the sweep.
 
@@ -353,8 +301,6 @@ def make_spec(
         failures=failures,
         network=network,
         liveness_thresholds=dict(thresholds or {}),
-        shards=shards,
-        shard_window=shard_window,
         label=label,
     )
 
@@ -363,16 +309,8 @@ def build_specs(
     sizes: list[int],
     *,
     scale_requests_factor: int = 32,
-    shards: int = 0,
-    shard_n: int | None = None,
 ) -> list[ScenarioSpec]:
-    """Expand the benchmark matrix into scenario cells.
-
-    ``shards >= 2`` appends the sharded-engine triple at ``shard_n``
-    (default: the sweep's largest size): a ``shards=1`` control followed by
-    the ``shards``-way classic-window and seam-window cells, identical in
-    every other respect.
-    """
+    """Expand the benchmark matrix into scenario cells."""
     specs: list[ScenarioSpec] = []
     for n in sizes:
         for algorithm in ALGORITHM_MATRIX:
@@ -486,29 +424,6 @@ def build_specs(
             label="lossy-network",
         )
     )
-    # (d) since v6, the sharded-engine cells (a pair then; a triple since
-    # v7): the shards=1 control MUST come first and the classic-window cell
-    # before the seam one (the sweep runs cells in order, so each later row
-    # can pick up its within-sweep comparison the moment it lands).
-    # No cell declares a max_grant_gap bound — the merged sharded figure is
-    # the worst per-shard gap, not the global serial gap, so the
-    # poisson-class bound would compare incommensurable quantities.
-    if shards >= 2:
-        pair_n = shard_n if shard_n is not None else max(sizes)
-        pair_requests = 2 * pair_n
-        cells = (
-            (1, "seam", "shard-control"),
-            (shards, "classic", "sharded-classic"),
-            (shards, "seam", "sharded"),
-        )
-        for count, window, label in cells:
-            specs.append(
-                make_spec(
-                    "open-cube", pair_n, pair_requests,
-                    detail="telemetry", repeats=1, stream=True,
-                    shards=count, shard_window=window, label=label,
-                )
-            )
     return specs
 
 
@@ -560,49 +475,12 @@ def _print_row(row: dict) -> None:
     print(json.dumps({k: v for k, v in row.items() if k != "series"}), flush=True)
 
 
-def _decorate_shard_row(row: dict, controls: dict) -> dict:
-    """Attach the within-sweep serial-control comparison to sharded rows.
-
-    The control cell runs earlier in the same sweep (``build_specs`` orders
-    the pair), so by the time the sharded row lands its control is cached
-    here and the ratio is a genuinely matched-conditions number.  Under
-    ``--parallel`` the rows may land out of order — the column is then
-    absent, which is honest: parallel-sweep timings are not comparable
-    anyway (cells compete for cores).
-    """
-    label = row.get("label")
-    if label == "shard-control":
-        controls[(row["n"], row["workload"])] = row
-    elif label in ("sharded", "sharded-classic"):
-        control = controls.get((row["n"], row["workload"]))
-        if control is not None:
-            row["shard_control_run_s"] = control["run_s"]
-            row["speedup_vs_shard_control"] = round(
-                control["run_s"] / row["run_s"], 3
-            )
-        if label == "sharded-classic":
-            controls[("classic", row["n"], row["workload"])] = row
-        else:
-            # The v7 batching headline: how many synchronisation rounds the
-            # seam-aware window rule saved against the classic one-event
-            # rule from the same sweep.
-            classic = controls.get(("classic", row["n"], row["workload"]))
-            if classic is not None and row.get("sync_rounds"):
-                row["classic_sync_rounds"] = classic["sync_rounds"]
-                row["sync_round_reduction"] = round(
-                    classic["sync_rounds"] / row["sync_rounds"], 2
-                )
-    return row
-
-
 def run_sweep(
     sizes: list[int],
     *,
     scale_requests_factor: int = 32,
     parallel: int = 1,
     jsonl_path: Path | None = None,
-    shards: int = 0,
-    shard_n: int | None = None,
 ) -> dict:
     """Run the full matrix and return the BENCH_scale document.
 
@@ -610,26 +488,20 @@ def run_sweep(
     record the moment its cell completes (the ``SweepRunner`` sink), so an
     interrupted sweep still leaves its completed cells on disk.
     """
-    specs = build_specs(
-        sizes, scale_requests_factor=scale_requests_factor,
-        shards=shards, shard_n=shard_n,
-    )
+    specs = build_specs(sizes, scale_requests_factor=scale_requests_factor)
     runner = SweepRunner(specs=specs, processes=parallel)
-    # The decorators mutate in place before the sink records the row, so the
+    # The decorator mutates in place before the sink records the row, so the
     # stdout lines, the JSONL stream and the final document all carry the
-    # same baseline- and shard-control-comparison fields.
-    shard_controls: dict = {}
+    # same baseline-comparison fields.
     rows = runner.run(
-        on_row=lambda row: _print_row(
-            _decorate_shard_row(decorate_row(row), shard_controls)
-        ),
+        on_row=lambda row: _print_row(decorate_row(row)),
         sink=jsonl_path,
     )
     complexity = [run_complexity(n) for n in sizes if n <= COMPLEXITY_MAX_N]
     for point in complexity:
         print(json.dumps(point), flush=True)
     return {
-        "schema": "bench-scale/v7",
+        "schema": "bench-scale/v8",
         "config": {
             "sizes": sizes,
             "workload": "poisson(rate=2.0, hold=0.1, seed=0)",
@@ -662,28 +534,6 @@ def run_sweep(
                 ),
             },
             "fairness_floors": FAIRNESS_FLOORS,
-            "sharding": (
-                {
-                    "shards": shards,
-                    "n": shard_n if shard_n is not None else max(sizes),
-                    "cores": os.cpu_count(),
-                    "note": (
-                        "speedup_vs_shard_control is a WITHIN-SWEEP ratio "
-                        "(sharded run_s vs the shards=1 control from the "
-                        "same sweep) — never compare it across machines; "
-                        "'cores' records what it was measured on.  On a "
-                        "single-core runner the conservative engine's "
-                        "window synchronisation makes the honest ratio < 1. "
-                        "Since v7 the sweep runs both window rules: "
-                        "sync_round_reduction on the seam row is the "
-                        "classic/seam sync-round ratio from the same sweep, "
-                        "and events_per_window is each sharded row's "
-                        "batching figure."
-                    ),
-                }
-                if shards >= 2
-                else None
-            ),
             "jsonl": jsonl_path.name if jsonl_path else None,
             "complexity_max_n": COMPLEXITY_MAX_N,
             "python": sys.version.split()[0],
@@ -773,74 +623,6 @@ def check_safety(rows: list[dict]) -> list[str]:
                     f"{cell}: {verdict}={value}{hint} — rerun with "
                     f"PYTHONPATH=src python benchmarks/bench_scale.py --sizes {row['n']} "
                     "and inspect the row's online_checks/quantiles blocks"
-                )
-    return problems
-
-
-def check_shard_parity(rows: list[dict]) -> list[str]:
-    """Regression-gate the sharded cell against its same-sweep serial control.
-
-    The sharded engine's determinism contract: partitioning the cluster
-    across workers may change wall time, never results.  Every column in
-    ``SHARD_PARITY_COLUMNS`` (request/grant/message totals, both verdicts,
-    the Jain index) must match the ``shards=1`` control bit-for-bit — for
-    *both* window rules of the v7 triple; a mismatch means a cross-shard
-    message was lost, double-delivered or reordered past the conservative
-    horizon.  Since v7 the gate additionally asserts the batching claim
-    itself: the seam cell's ``sync_rounds`` must not exceed the classic
-    cell's from the same sweep (the seam bound may only ever widen
-    windows).  Returns one named message per divergence (and flags a
-    sharded cell whose control is missing, or a sweep with no sharded cell
-    at all — the gate must not pass vacuously).
-    """
-    problems = []
-    controls = {
-        (r["n"], r["workload"]): r for r in rows if r.get("label") == "shard-control"
-    }
-    sharded = [
-        r for r in rows if r.get("label") in ("sharded", "sharded-classic")
-    ]
-    if not sharded:
-        return ["no sharded cell in this sweep — run with --shards >= 2"]
-    classics = {
-        (r["n"], r["workload"]): r
-        for r in rows
-        if r.get("label") == "sharded-classic"
-    }
-    for row in sharded:
-        cell = (
-            f"cell (open-cube, n={row['n']}, shards={row.get('shards')}, "
-            f"window={row.get('shard_window')})"
-        )
-        control = controls.get((row["n"], row["workload"]))
-        if control is None:
-            problems.append(
-                f"{cell}: no shards=1 control row in the same sweep — the "
-                "parity gate needs the control"
-            )
-            continue
-        for column in SHARD_PARITY_COLUMNS:
-            if row.get(column) != control.get(column):
-                problems.append(
-                    f"{cell}: {column}={row.get(column)!r} differs from the "
-                    f"shards=1 control's {control.get(column)!r} — the "
-                    "sharded engine diverged from its own serial schedule "
-                    "(lost, duplicated or horizon-breaking cross-shard "
-                    "message)"
-                )
-        if row.get("label") == "sharded":
-            classic = classics.get((row["n"], row["workload"]))
-            if (
-                classic is not None
-                and row.get("sync_rounds")
-                and classic.get("sync_rounds")
-                and row["sync_rounds"] > classic["sync_rounds"]
-            ):
-                problems.append(
-                    f"{cell}: seam windows took {row['sync_rounds']} sync "
-                    f"rounds vs the classic rule's {classic['sync_rounds']} "
-                    "in the same sweep — the seam-aware bound must never "
-                    "synchronise more often than the one-event rule"
                 )
     return problems
 
@@ -948,20 +730,6 @@ def main(argv: list[str] | None = None) -> int:
         "class's Jain-index floor — the per-node fairness/stall gate",
     )
     parser.add_argument(
-        "--check-shards", action="store_true",
-        help="fail (exit 1) if any sharded cell's aggregates or verdicts "
-        "differ from its same-sweep shards=1 control, if the seam-window "
-        "cell spent more sync rounds than the classic one, or if the sweep "
-        "has no sharded cells — the sharded-engine determinism gate",
-    )
-    parser.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="add the sharded-engine triple (shards=1 control + N-way "
-        "classic-window + N-way seam-window cells) to the sweep; default: "
-        "2-way on the full sweep at n=65536, none on --smoke/--sizes runs "
-        "(opt in explicitly there)",
-    )
-    parser.add_argument(
         "--sizes", type=int, nargs="+", default=None,
         help="override the size sweep (powers of two)",
     )
@@ -981,18 +749,8 @@ def main(argv: list[str] | None = None) -> int:
         sizes = [256]
     else:
         sizes = [256, 1024, 4096, 16384]
-    full_sweep = args.sizes is None and not args.smoke
-    shards = args.shards if args.shards is not None else (
-        SHARD_SWEEP_SHARDS if full_sweep else 0
-    )
-    # The full sweep pins its pair at the v6 scale point; a --smoke/--sizes
-    # run shards its own largest size so the pair stays proportionate.
-    shard_n = SHARD_SCALE_N if full_sweep else max(sizes)
     jsonl_path = args.output.with_suffix(".jsonl")
-    document = run_sweep(
-        sizes, parallel=args.parallel, jsonl_path=jsonl_path,
-        shards=shards, shard_n=shard_n,
-    )
+    document = run_sweep(sizes, parallel=args.parallel, jsonl_path=jsonl_path)
     args.output.write_text(json.dumps(document, indent=2) + "\n")
     print(f"wrote {args.output} (+ streamed {jsonl_path})")
     failed = False
@@ -1028,18 +786,6 @@ def main(argv: list[str] | None = None) -> int:
             print(
                 "fairness gate ok: every telemetry cell carries its fairness "
                 "columns, within thresholds and Jain floors"
-            )
-    if args.check_shards:
-        problems = check_shard_parity(document["results"])
-        for problem in problems:
-            print(f"SHARD GATE: {problem}", file=sys.stderr)
-        if problems:
-            failed = True
-        else:
-            print(
-                "shard gate ok: both window rules match the same-sweep "
-                "shards=1 control exactly and seam windows synchronised "
-                "no more often than classic"
             )
     return 1 if failed else 0
 

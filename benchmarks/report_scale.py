@@ -13,8 +13,8 @@ Sections:
 * **Engine throughput trajectory** — events/s vs n for the open-cube sweep
   cells, the seed-commit baseline points with the ±40% machine-noise band
   the ROADMAP comparison protocol prescribes, and the same-sweep control
-  ratios (``pr3-counters-control``, ``shard-control``) that make overhead
-  measurable without cross-day number comparisons.
+  ratio (``pr3-counters-control``) that makes overhead measurable without
+  cross-day number comparisons.
 * **Fairness heatmap** — Jain index per (algorithm, n) cell.
 * **Per-run time series** — events/s and agenda depth over event time for
   the cells that carry a compact ``series`` block.
@@ -340,18 +340,15 @@ def section_throughput(meta: dict[str, Any], rows: list[dict[str, Any]]) -> str:
     legend_entries = [("open-cube telemetry", PALETTE[0], False)]
     markers: list[dict[str, Any]] = []
     for row in rows:
-        if row.get("label") in (
-            "pr3-counters-control", "shard-control", "sharded-classic", "sharded"
-        ):
-            if row.get("events_per_sec"):
-                markers.append(
-                    {
-                        "x": float(row["n"]),
-                        "y": float(row["events_per_sec"]),
-                        "color": PALETTE[3] if row["label"] == "sharded" else "#64748b",
-                        "label": f"{row['label']} (n={row['n']})",
-                    }
-                )
+        if row.get("label") == "pr3-counters-control" and row.get("events_per_sec"):
+            markers.append(
+                {
+                    "x": float(row["n"]),
+                    "y": float(row["events_per_sec"]),
+                    "color": "#64748b",
+                    "label": f"{row['label']} (n={row['n']})",
+                }
+            )
     bands = []
     baseline = (meta.get("baseline") or {}).get("remeasured_best_of_5") or (
         meta.get("baseline") or {}
@@ -387,33 +384,11 @@ def section_throughput(meta: dict[str, Any], rows: list[dict[str, Any]]) -> str:
     ratio_rows = []
     by_size = {r["n"]: r for r in open_cube}
     for row in rows:
-        label = row.get("label")
-        if label == "pr3-counters-control" and row["n"] in by_size:
+        if row.get("label") == "pr3-counters-control" and row["n"] in by_size:
             telemetry = by_size[row["n"]]
             ratio_rows.append(
                 (row["n"], "telemetry / counters-control",
                  telemetry["events_per_sec"] / row["events_per_sec"])
-            )
-        if label in ("sharded", "sharded-classic"):
-            control = next(
-                (r for r in rows
-                 if r.get("label") == "shard-control" and r["n"] == row["n"]),
-                None,
-            )
-            if control and control.get("events_per_sec"):
-                ratio_rows.append(
-                    (row["n"], f"{label} / shard-control",
-                     row["events_per_sec"] / control["events_per_sec"])
-                )
-        if label == "sharded" and row.get("sync_round_reduction"):
-            # The seam-window batching headline: classic sync rounds over
-            # seam sync rounds, same sweep (events_per_window rides along
-            # in the parenthetical so the absolute batch size is visible).
-            ratio_rows.append(
-                (row["n"],
-                 "classic / seam sync rounds "
-                 f"({row.get('events_per_window', 0.0):g} events/window)",
-                 float(row["sync_round_reduction"]))
             )
     table = ""
     if ratio_rows:

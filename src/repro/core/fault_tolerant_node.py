@@ -163,19 +163,6 @@ class FaultTolerantOpenCubeNode(OpenCubeMutexNode):
         self.stale_tokens_discarded = 0
         self.spurious_suspicions = 0
 
-    def peer_refs(self):
-        """Unknown: failure handling sends to computed targets.
-
-        The search sweeps probe distance-ranked candidate sets, the
-        root-claim arbitration broadcasts to every node, and ping/enquiry
-        replies answer whoever asked — none of which is derivable from
-        enumerable state.  Returning ``None`` pins the node as a permanent
-        boundary node in the sharded engine's seam probe, degrading a
-        sharded fault-tolerant run to classic windows (sound, just
-        unbatched).
-        """
-        return None
-
     # ------------------------------------------------------------------
     # Derived state
     # ------------------------------------------------------------------

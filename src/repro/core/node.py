@@ -448,31 +448,6 @@ class OpenCubeMutexNode(MutexNode):
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def peer_refs(self):
-        """Every id this node's current state could use as a send target.
-
-        The failure-free node sends only to ids held in enumerable state:
-        ``father`` (request forwarding), ``lender`` (returning a borrowed
-        token), ``mandator`` (honouring a mandate) and, for each deferred
-        ``("request", sender, message)`` item in the pending queue, the
-        requester that a later proxy/transit step may send the token to.
-        ``mandate_source`` and the deferred sender are deliberately *not*
-        reported: every ``_env_send`` destination in this class (and in the
-        :mod:`repro.scheme` instances, which only override the behaviour
-        rule) is one of the four kinds above — ``source`` and the pending
-        sender are message payload fields, never destinations, and listing
-        them would pin seam-probe taint on nodes that cannot emit across
-        the seam.  See :meth:`repro.simulation.process.MutexNode.peer_refs`
-        for the contract the sharded engine relies on.
-        """
-        refs = [self.father, self.mandator]
-        if self.lender != self.node_id:
-            refs.append(self.lender)
-        for item in self.pending:
-            if item[0] == "request":
-                refs.append(item[2].requester)
-        return refs
-
     def snapshot(self) -> dict[str, Any]:
         """Return the local variables of the paper plus bookkeeping counters."""
         base = super().snapshot()

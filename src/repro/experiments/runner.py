@@ -225,9 +225,6 @@ def run_workload(
     feed_window: int = 64,
     telemetry: Mapping[str, Any] | None = None,
     liveness_thresholds: Mapping[str, float] | None = None,
-    shards: int = 0,
-    shard_by: str = "range",
-    shard_window: str = "seam",
 ) -> RunResult:
     """Run ``workload`` under ``algorithm`` on ``n`` simulated nodes.
 
@@ -275,24 +272,6 @@ def run_workload(
             records are replayed through them
             (:func:`repro.verification.replay_online`); the unanalysed
             ``counters`` mode rejects thresholds outright.
-        shards: ``0`` (the default) runs the classic serial engine,
-            byte-identical to every previous release.  ``>= 1`` runs the
-            conservative parallel engine instead: the nodes are partitioned
-            across that many ``multiprocessing`` worker shards and the
-            per-shard results merged into one :class:`RunResult` (see
-            :mod:`repro.simulation.sharding` for the synchronisation
-            protocol, the determinism contract and the scope restrictions —
-            notably no failures/faults/FIFO and no ``metrics_detail="full"``).
-            ``shards=1`` is the sharded engine's serial control, *not* the
-            classic engine: its delay streams differ by design.
-        shard_by: node-partition strategy for sharded runs — ``"range"``
-            (contiguous blocks, any n) or ``"cube"`` (open-cube seam-aligned,
-            power-of-two n and shard counts).
-        shard_window: window rule for sharded runs — ``"seam"`` (default)
-            batches synchronisation windows with the seam-aware
-            earliest-crossing bound, ``"classic"`` uses the PR 7
-            one-event-window rule.  Results and per-shard digests are
-            byte-identical; only ``sync_rounds`` differs.
     """
     kwargs = dict(cluster_kwargs or {})
     kwargs_detail = kwargs.pop("metrics_detail", None)
@@ -302,50 +281,6 @@ def run_workload(
         raise ConfigurationError(
             f"conflicting metrics_detail: {metrics_detail!r} as argument but "
             f"{kwargs_detail!r} in cluster_kwargs"
-        )
-    if shards:
-        if serial:
-            raise ConfigurationError(
-                "serial per-request accounting needs the global message "
-                "counter; sharded runs do not support serial=True"
-            )
-        if failure_schedule is not None:
-            raise ConfigurationError(
-                "sharded runs do not support failure schedules: a crash of a "
-                "remote node cannot be observed inside the shard's window"
-            )
-        if network_faults is not None or kwargs.get("network_faults") is not None:
-            raise ConfigurationError(
-                "sharded runs do not support network faults; use the serial "
-                "engine (shards=0) for adversarial cells"
-            )
-        if fifo or kwargs.get("fifo"):
-            raise ConfigurationError("sharded runs do not support FIFO channels")
-        telemetry_options = telemetry
-        if telemetry_options is None:
-            telemetry_options = kwargs.pop("telemetry_options", None)
-        # Imported lazily: sharding imports this module for RunResult and the
-        # threshold helpers, so a top-level import would be a cycle.
-        from repro.simulation.sharding import run_sharded
-
-        return run_sharded(
-            algorithm,
-            n,
-            workload,
-            shards=shards,
-            shard_by=shard_by,
-            shard_window=shard_window,
-            seed=seed,
-            delay_model=delay_model,
-            trace=trace,
-            metrics_detail=metrics_detail,
-            max_events=max_events,
-            node_options=node_options,
-            cluster_kwargs=kwargs,
-            stream=stream,
-            feed_window=feed_window,
-            telemetry=telemetry_options,
-            liveness_thresholds=liveness_thresholds,
         )
     if telemetry is not None:
         if "telemetry_options" in kwargs and kwargs["telemetry_options"] != telemetry:

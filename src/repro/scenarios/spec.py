@@ -364,17 +364,6 @@ class ScenarioSpec:
             ``liveness_thresholds`` (cell-level wins per key); a breach turns
             the row's ``liveness_ok`` into ``False`` with a detail naming the
             node and gap.
-        shards: ``0`` (default) runs the classic serial engine; ``>= 1``
-            runs the conservative parallel engine with that many worker
-            shards (see :mod:`repro.simulation.sharding`).  Sharded cells
-            need ``metrics_detail`` of ``"counters"`` or ``"telemetry"`` and
-            a delay model with a positive ``min_delay()``; ``shards=1`` is
-            the sharded engine's serial control for parity comparisons.
-        shard_by: partition strategy for sharded cells — ``"range"`` or the
-            open-cube seam-aligned ``"cube"`` (power-of-two n and shards).
-        shard_window: window rule for sharded cells — the batching
-            ``"seam"`` (default) or the one-event-window ``"classic"``;
-            results are byte-identical, only ``sync_rounds`` differs.
         label: optional human-readable cell label carried into the row.
     """
 
@@ -397,9 +386,6 @@ class ScenarioSpec:
     feed_window: int = 64
     telemetry: dict[str, Any] = field(default_factory=dict, hash=False)
     liveness_thresholds: dict[str, float] = field(default_factory=dict, hash=False)
-    shards: int = 0
-    shard_by: str = "range"
-    shard_window: str = "seam"
     label: str | None = None
 
     # ------------------------------------------------------------------
@@ -433,14 +419,20 @@ class ScenarioSpec:
             "feed_window": self.feed_window,
             "telemetry": dict(self.telemetry),
             "liveness_thresholds": dict(self.liveness_thresholds),
-            "shards": self.shards,
-            "shard_by": self.shard_by,
-            "shard_window": self.shard_window,
             "label": self.label,
         }
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ScenarioSpec":
+        if data.get("shards", 0):
+            # Documents written while the sharded single-run engine existed
+            # carry shards/shard_by/shard_window; a serial cell (shards=0)
+            # still loads, a sharded one must not silently run serially.
+            raise ConfigurationError(
+                f"spec asks for shards={data['shards']!r}, but the sharded "
+                "single-run engine was removed; drop the key (or set "
+                "shards=0) to run the cell on the serial engine"
+            )
         failures = data.get("failures")
         network = data.get("network")
         return cls(
@@ -463,11 +455,6 @@ class ScenarioSpec:
             feed_window=data.get("feed_window", 64),
             telemetry=_frozen_params(data.get("telemetry")),
             liveness_thresholds=_frozen_params(data.get("liveness_thresholds")),
-            shards=data.get("shards", 0),
-            shard_by=data.get("shard_by", "range"),
-            # Pre-knob documents (bench-scale <= v6) ran the only window rule
-            # there was; they deserialise to the current default.
-            shard_window=data.get("shard_window", "seam"),
             label=data.get("label"),
         )
 
@@ -514,9 +501,6 @@ class ScenarioSpec:
                 feed_window=self.feed_window,
                 telemetry=self.telemetry or None,
                 liveness_thresholds=thresholds or None,
-                shards=self.shards,
-                shard_by=self.shard_by,
-                shard_window=self.shard_window,
             )
             if best is None or result.run_s < best.run_s:
                 best = result
@@ -626,20 +610,6 @@ class ScenarioResult:
         thresholds = spec.effective_liveness_thresholds()
         if thresholds:
             row["liveness_thresholds"] = thresholds
-        if spec.shards:
-            # Sharded cells carry the parallel-engine figures; clean serial
-            # rows stay byte-identical to before (same convention as the
-            # network-fault columns above).
-            row["shards"] = spec.shards
-            row["shard_by"] = spec.shard_by
-            row["shard_window"] = result.extra.get("shard_window", spec.shard_window)
-            row["sync_rounds"] = result.extra.get("sync_rounds")
-            row["merge_s"] = round(result.extra.get("merge_s", 0.0), 4)
-            row["lookahead"] = result.extra.get("lookahead")
-            sync_rounds = result.extra.get("sync_rounds")
-            row["events_per_window"] = (
-                round(result.events / sync_rounds, 2) if sync_rounds else 0.0
-            )
         if result.series is not None:
             row["series"] = result.series
         if result.traces is not None:

@@ -54,20 +54,6 @@ class DelayModel(abc.ABC):
     def sample(self, sender: int, dest: int, rng: random.Random) -> float:
         """Return the transmission delay of one message from sender to dest."""
 
-    @abc.abstractmethod
-    def min_delay(self) -> float:
-        """A guaranteed lower bound on every value :meth:`sample` can return.
-
-        This is the conservative *lookahead* of the model: a message sent at
-        time ``t`` never arrives before ``t + min_delay()``, for any sender /
-        destination pair and any RNG state.  The sharded single-run engine
-        (:mod:`repro.simulation.sharding`) synchronises its shards exactly
-        this far apart, so the bound must be *true* — an optimistic value
-        here silently breaks causality across shards.  Models whose support
-        reaches down to 0 must return ``0.0`` (they then provide no usable
-        lookahead and cannot drive a sharded run).
-        """
-
     def bind(self, rng: random.Random) -> Callable[[int, int], float]:
         """Return a sampler closure ``f(sender, dest)`` over ``rng``.
 
@@ -75,10 +61,6 @@ class DelayModel(abc.ABC):
         with trivial distributions override this to close over locals and
         skip per-call attribute lookups.  Bound samplers draw from ``rng``
         exactly as :meth:`sample` does, so determinism is unaffected.
-
-        ``rng`` only needs the ``random()``/``uniform()`` surface the model
-        actually draws from — the sharded engine passes a counter-based
-        per-sender stream here instead of a :class:`random.Random`.
         """
         return lambda sender, dest: self.sample(sender, dest, rng)
 
@@ -87,16 +69,6 @@ class DelayModel(abc.ABC):
         if self.max_delay <= 0:
             raise ConfigurationError(
                 f"max_delay must be positive, got {self.max_delay}"
-            )
-        lower = self.min_delay()
-        if lower < 0:
-            raise ConfigurationError(
-                f"min_delay() must be >= 0, got {lower}"
-            )
-        if lower > self.max_delay:
-            raise ConfigurationError(
-                f"min_delay() {lower} exceeds max_delay {self.max_delay}; "
-                "the lookahead bound must be a true lower bound of sample()"
             )
 
 
@@ -111,9 +83,6 @@ class ConstantDelay(DelayModel):
         self.validate()
 
     def sample(self, sender: int, dest: int, rng: random.Random) -> float:
-        return self.delay
-
-    def min_delay(self) -> float:
         return self.delay
 
     def bind(self, rng: random.Random) -> Callable[[int, int], float]:
@@ -141,11 +110,6 @@ class UniformDelay(DelayModel):
         # Same float expression as random.Random.uniform (low + (high-low)*r)
         # without the extra frame; sampled values are bit-identical.
         return self.low + self._span * rng.random()
-
-    def min_delay(self) -> float:
-        # random() is in [0, 1), so low itself is attainable; a low of 0
-        # honestly reports "no lookahead" rather than a fake epsilon.
-        return self.low
 
     def bind(self, rng: random.Random) -> Callable[[int, int], float]:
         low = self.low
@@ -181,12 +145,6 @@ class PerHopDelay(DelayModel):
         hops = max(1, min(hops, self.dimensions))
         return min(self.max_delay, self.base * hops + rng.uniform(0.0, self.jitter))
 
-    def min_delay(self) -> float:
-        # Hops are clamped to >= 1 and the jitter draw is >= 0, so every
-        # sample is >= base (the cap max_delay = base*dimensions + jitter
-        # never truncates below one hop's base).
-        return self.base
-
 
 @dataclass
 class ParetoDelay(DelayModel):
@@ -215,12 +173,6 @@ class ParetoDelay(DelayModel):
     def sample(self, sender: int, dest: int, rng: random.Random) -> float:
         # Inverse-CDF sampling; rng.random() is in [0, 1) so 1-u is in (0, 1].
         return min(self.cap, self.scale / (1.0 - rng.random()) ** self._inv_alpha)
-
-    def min_delay(self) -> float:
-        # 1-u is in (0, 1] so scale/(1-u)**inv_alpha >= scale, and the
-        # constructor guarantees cap > scale — the truncation never cuts
-        # below the distribution's lower endpoint.
-        return self.scale
 
     def bind(self, rng: random.Random) -> Callable[[int, int], float]:
         scale = self.scale

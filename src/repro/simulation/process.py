@@ -10,7 +10,7 @@ asyncio runtime (examples).
 from __future__ import annotations
 
 import abc
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 from repro.core.messages import Message
 
@@ -122,23 +122,6 @@ class MutexNode(abc.ABC):
 
     def on_timer(self, name: str, payload: Any = None) -> None:
         """Handle a timer expiry (default: ignore; failure-free nodes need none)."""
-
-    def peer_refs(self) -> "Iterable[int | None] | None":
-        """Every node id this node's *current state* could send a message to.
-
-        Used by the sharded engine's seam-aware window probe
-        (:mod:`repro.simulation.sharding`): a node all of whose peer refs
-        are shard-local cannot emit a cross-boundary message until new state
-        arrives in a message, so the engine can stop treating it as a
-        boundary node.  The contract is conservative: the returned iterable
-        must cover **every** id the node could use as a send destination
-        based on its state right now (``None`` entries are ignored), and a
-        node whose destinations are not derivable from enumerable state —
-        computed targets, broadcasts — must return ``None`` ("unknown"),
-        which pins it as a boundary node forever.  The safe default is
-        ``None``.
-        """
-        return None
 
     # ------------------------------------------------------------------
     # Application interface

@@ -89,7 +89,6 @@ class Simulator:
         self._processed: int = 0
         self._pending: int = 0
         self._peak_pending: int = 0
-        self._run_horizon: float = float("inf")
         self.rng = random.Random(seed)
         # Jump table indexed by the entry tag — the single source of truth
         # for dispatch; mutated in place so loops that hold a local
@@ -305,13 +304,7 @@ class Simulator:
             return True
         return False
 
-    def run(
-        self,
-        until: float | None = None,
-        max_events: int | None = None,
-        *,
-        exclusive: bool = False,
-    ) -> None:
+    def run(self, until: float | None = None, max_events: int | None = None) -> None:
         """Run until the agenda is empty, ``until`` is reached, or a budget hit.
 
         Args:
@@ -321,12 +314,6 @@ class Simulator:
                 ``max_events`` events are processed, and attempting to process
                 one more raises :class:`SimulationError` so bugs surface as
                 failures rather than hangs.
-            exclusive: treat ``until`` as a strict (open) horizon — events
-                scheduled exactly *at* ``until`` stay on the agenda.  The
-                sharded engine runs each synchronisation window this way: a
-                cross-shard message can arrive exactly at the horizon, and a
-                same-instant local event must not be processed before it.
-                Ignored when ``until`` is ``None``.
         """
         heap = self._heap
         jump = self._jump
@@ -338,33 +325,6 @@ class Simulator:
         # them once per run() (exception-safely) instead of once per event
         # keeps the loop tight.  `_time` must stay live: handlers read `now`.
         try:
-            if until is not None and exclusive:
-                # Strict-horizon window (sharded engine); a separate loop so
-                # the historical inclusive path below stays byte-identical.
-                # The horizon is re-read from `_run_horizon` every event so a
-                # handler can tighten it mid-run (the seam window's boomerang
-                # cut: after a cross-shard send the window must close before
-                # the earliest possible reply).  Only this path pays the
-                # attribute read; the serial loops below keep the local.
-                self._run_horizon = until
-                while heap:
-                    entry = heap[0]
-                    if entry[4]:
-                        pop(heap)
-                        continue
-                    if entry[0] >= self._run_horizon:
-                        break
-                    if processed == budget:
-                        raise SimulationError(
-                            f"exceeded the event budget of {max_events} events; "
-                            "the protocol is probably not quiescing"
-                        )
-                    pop(heap)
-                    entry[5] = None
-                    self._time = entry[0]
-                    processed += 1
-                    jump[entry[2]](entry[3])
-                return
             if until is None:
                 # Fast path (run_until_quiescent): pop unconditionally, no
                 # peek needed because nothing can stop us except the budget.
@@ -404,20 +364,6 @@ class Simulator:
             self._processed += processed
             self._pending -= processed
 
-    def tighten_run_horizon(self, time: float) -> None:
-        """Close the current strict-horizon :meth:`run` window at ``time``.
-
-        Only meaningful from inside an event handler while an
-        ``exclusive=True`` run is in progress: events scheduled at or after
-        ``time`` are left on the agenda and the run returns once the next
-        event would reach them.  Never widens the window.  The sharded
-        engine's seam window uses this as its boomerang cut — after a
-        cross-shard send at ``t`` the window must end before ``t + 2 *
-        lookahead``, the earliest instant a reply could arrive.
-        """
-        if time < self._run_horizon:
-            self._run_horizon = time
-
     def advance_to(self, time: float) -> None:
         """Advance the clock to ``time`` without processing events.
 
@@ -437,57 +383,3 @@ class Simulator:
         while heap and heap[0][4]:
             heapq.heappop(heap)
         return heap[0] if heap else None
-
-    def earliest_event_at(self, nodes) -> tuple[float | None, float | None]:
-        """Scan the agenda for the sharded engine's seam probe.
-
-        Returns ``(earliest, feeder_guard)``:
-
-        * ``earliest`` — the time of the earliest pending event that could
-          run *at* a node in ``nodes``: a delivery whose destination is in
-          the set, a workload request entry whose node is in the set, a
-          timer whose owner (:attr:`TimerExpiry.node <repro.simulation.events.TimerExpiry>`)
-          is in the set, or a scheduled action whose owner is in the set.
-          An action's owner is recovered from its ``<kind>-<node_id>``
-          label (the convention of every cluster-scheduled action:
-          ``release-7``, ``fail-7``, ``recover-7``); an action whose label
-          does not end in an integer has no known owner and counts
-          unconditionally — conservative, never unsound.
-        * ``feeder_guard`` — the *latest* pending workload request entry
-          that still carries a live feeder.  A streamed workload schedules
-          arrivals lazily; with the documented non-decreasing-``at`` stream
-          order (:mod:`repro.workload.arrivals`), every arrival not yet on
-          the agenda fires at or after this time, whichever node it names.
-          ``None`` when no feeder-carrying entry is pending (eager feeds,
-          exhausted streams).
-
-        One O(pending) pass; cancelled entries are skipped.  Membership
-        tests hit ``nodes`` once per delivery/request entry, so pass a
-        ``set``/``frozenset``.
-        """
-        earliest: float | None = None
-        guard: float | None = None
-        for entry in self._heap:
-            if entry[4]:
-                continue
-            tag = entry[2]
-            time = entry[0]
-            if tag == TAG_DELIVERY:
-                if entry[3][1] not in nodes:
-                    continue
-            elif tag == TAG_REQUEST:
-                payload = entry[3]
-                if payload[3] is not None and (guard is None or time > guard):
-                    guard = time
-                if payload[0] not in nodes:
-                    continue
-            elif tag == TAG_TIMER:
-                if entry[3].node not in nodes:
-                    continue
-            elif tag == TAG_ACTION:
-                _, _, tail = entry[3].label.rpartition("-")
-                if tail.isdigit() and int(tail) not in nodes:
-                    continue
-            if earliest is None or time < earliest:
-                earliest = time
-        return earliest, guard

@@ -9,14 +9,12 @@ deterministic sample of requests, in constant memory.
 Design contract (the golden-digest guarantee):
 
 * Sampling is a **pure function** of ``(seed, request_id)`` — a SplitMix64
-  hash, the same generator family `simulation/sharding.py` uses for sender
-  delay streams.  The recorder never draws from any simulator RNG and never
+  hash.  The recorder never draws from any simulator RNG and never
   schedules events, so enabling tracing cannot perturb event order and the
   golden trace digests are byte-identical with tracing on or off.
 * The recorder observes hooks the cluster already fires (issue, send,
   deliver, drop, grant, cs-exit, failure) and keeps only plain dicts of
-  primitives, so it pickles through the sharded engine's fork pipe with the
-  rest of the telemetry hub.
+  primitives, so it pickles with the rest of the telemetry hub.
 * Memory is bounded: at most ``trace_limit`` finished traces are retained
   (overflow is counted, not stored) and each trace records at most
   ``max_hops`` message hops.
@@ -63,7 +61,7 @@ _TOKEN_KIND_HINTS = ("Token", "Grant", "Reply")
 
 
 def _mix64(z: int) -> int:
-    """SplitMix64 finaliser (same constants as ``simulation/sharding.py``)."""
+    """SplitMix64 finaliser."""
     z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
     z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
     return z ^ (z >> 31)
@@ -73,7 +71,7 @@ def sample_request(seed: int, request_id: int, rate: float) -> bool:
     """Deterministic head-sampling decision for one request id.
 
     Pure function of ``(seed, request_id)`` — no RNG state anywhere, so the
-    decision is identical on the serial, streamed and sharded paths and can
+    decision is identical on the eager and streamed paths and can
     be re-derived offline from a row's seed.
     """
     if rate >= 1.0:
@@ -95,9 +93,9 @@ def trace_id_for(seed: int, request_id: int) -> str:
 class RequestTraceRecorder:
     """Records span trees for a deterministic sample of requests.
 
-    All state is plain dicts/lists/primitives (picklable across the fork
-    pipe); all hooks are O(1) with an early ``if not self._waiting`` exit so
-    unsampled traffic costs one dict check per send.
+    All state is plain dicts/lists/primitives, so the recorder pickles; all
+    hooks are O(1) with an early ``if not self._waiting`` exit so unsampled
+    traffic costs one dict check per send.
     """
 
     __slots__ = (
@@ -275,18 +273,6 @@ class RequestTraceRecorder:
             self._done.append(trace)
         else:
             self.truncated += 1
-
-    def merge(self, other: RequestTraceRecorder) -> None:
-        """Fold another shard's recorder in (deterministic order, re-capped)."""
-        self.sampled_total += other.sampled_total
-        self.truncated += other.truncated
-        combined = self._done + other._done
-        combined.sort(key=lambda t: (t["issued_at"], t["node"], t["request_id"]))
-        overflow = len(combined) - self.limit
-        if overflow > 0:
-            self.truncated += overflow
-            combined = combined[: self.limit]
-        self._done = combined
 
     def block(self) -> dict[str, Any]:
         """Compact JSON-ready block for scenario rows."""

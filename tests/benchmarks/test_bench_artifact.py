@@ -52,10 +52,8 @@ def smoke_document(tmp_path_factory):
     rc = bench_scale.main(
         [
             "--sizes", "64",
-            "--shards", "2",
             "--output", str(output),
             "--check-agenda", "--check-safety", "--check-fairness",
-            "--check-shards",
         ]
     )
     assert rc == 0, "the smoke sweep must pass its own gates"
@@ -68,12 +66,10 @@ def smoke_document(tmp_path_factory):
 class TestSmokeArtifactSchema:
     def test_schema_version_and_config(self, smoke_document):
         document = smoke_document["document"]
-        assert document["schema"] == "bench-scale/v7"
+        assert document["schema"] == "bench-scale/v8"
         assert document["config"]["lossy_network"]["loss_rate"] == (
             bench_scale.LOSSY_LOSS_RATE
         )
-        assert document["config"]["sharding"]["shards"] == 2
-        assert document["config"]["sharding"]["cores"] >= 1
         config = document["config"]
         assert (
             config["liveness_thresholds"]["poisson"]
@@ -143,52 +139,6 @@ class TestSmokeArtifactSchema:
             lossy["n"]
         )
 
-    def test_sharded_triple_present_with_shard_columns_and_parity(self, smoke_document):
-        """The v7 triple: a shards=1 control plus the 2-way classic- and
-        seam-window cells, all through the conservative parallel engine,
-        aggregates identical, seam batching strictly better."""
-        rows = smoke_document["document"]["results"]
-        [control] = [r for r in rows if r.get("label") == "shard-control"]
-        [classic] = [r for r in rows if r.get("label") == "sharded-classic"]
-        [sharded] = [r for r in rows if r.get("label") == "sharded"]
-        assert control["shards"] == 1
-        assert classic["shards"] == 2 and sharded["shards"] == 2
-        assert control["shard_window"] == "seam"
-        assert classic["shard_window"] == "classic"
-        assert sharded["shard_window"] == "seam"
-        for row in (control, classic, sharded):
-            assert row["shard_by"] == "range"
-            assert row["sync_rounds"] > 0
-            assert row["events_per_window"] > 0.0
-            assert row["merge_s"] >= 0.0
-            assert row["lookahead"] > 0.0
-            assert row["streamed"] is True
-            # Per-shard grant-gap semantics: the cells must not declare the
-            # poisson-class max_grant_gap bound (see build_specs).
-            assert not row.get("liveness_thresholds")
-        for column in bench_scale.SHARD_PARITY_COLUMNS:
-            assert sharded[column] == control[column], column
-            assert classic[column] == control[column], column
-        # One shard receives no cross traffic: the whole control run is a
-        # single seam window.
-        assert control["sync_rounds"] == 1
-        # The batching claim, within one sweep: seam windows synchronise
-        # less and therefore batch more events per window.
-        assert sharded["sync_rounds"] <= classic["sync_rounds"]
-        assert sharded["events_per_window"] >= classic["events_per_window"]
-        # The serial smoke sweep runs the cells in order, so the later rows
-        # carry the within-sweep comparison columns.
-        for row in (classic, sharded):
-            assert row["shard_control_run_s"] == control["run_s"]
-            assert row["speedup_vs_shard_control"] > 0.0
-        assert sharded["classic_sync_rounds"] == classic["sync_rounds"]
-        assert sharded["sync_round_reduction"] >= 1.0
-        # Serial (non-triple) rows never grow shard columns — the clean-row
-        # schema stays byte-stable across the v5 -> v7 bumps.
-        for row in rows:
-            if row.get("label") not in ("shard-control", "sharded-classic", "sharded"):
-                assert "shards" not in row and "sync_rounds" not in row
-
     def test_streamed_cells_keep_zero_message_records(self, smoke_document):
         for row in smoke_document["document"]["results"]:
             if row["streamed"]:
@@ -240,35 +190,6 @@ class TestLongRunMatrixStructure:
         assert lossy.n == bench_scale.LOSSY_N
         assert lossy.network is not None
         assert lossy.network.loss_rate == bench_scale.LOSSY_LOSS_RATE
-
-    def test_shard_triple_declared_at_the_scale_point(self):
-        """The full sweep's triple sits at the pinned scale (n=65536),
-        control first, classic before seam, so each row's within-sweep
-        decoration finds its comparison in sweep order."""
-        specs = bench_scale.build_specs(
-            [16384], shards=bench_scale.SHARD_SWEEP_SHARDS,
-            shard_n=bench_scale.SHARD_SCALE_N,
-        )
-        labels = ("shard-control", "sharded-classic", "sharded")
-        triple = [s for s in specs if s.label in labels]
-        assert [s.label for s in triple] == list(labels)
-        for spec in triple:
-            assert spec.n == bench_scale.SHARD_SCALE_N
-            assert spec.workload.params["count"] == 2 * bench_scale.SHARD_SCALE_N
-            assert spec.metrics_detail == "telemetry"
-            assert spec.stream is True
-            assert not spec.liveness_thresholds
-            assert not spec.telemetry  # series sampling is serial-engine-only
-        assert [s.shards for s in triple] == [
-            1, bench_scale.SHARD_SWEEP_SHARDS, bench_scale.SHARD_SWEEP_SHARDS,
-        ]
-        assert [s.shard_window for s in triple] == ["seam", "classic", "seam"]
-
-    def test_no_shard_cells_without_opt_in(self):
-        assert not [
-            s for s in bench_scale.build_specs([16384])
-            if s.label in ("shard-control", "sharded-classic", "sharded")
-        ]
 
 
 class TestFairnessGate:
@@ -325,56 +246,3 @@ class TestFairnessGate:
             [{"metrics_detail": "counters", "algorithm": "open-cube", "n": 4096,
               "workload": "poisson", "label": "pr3-counters-control"}]
         ) == []
-
-
-class TestShardGate:
-    """check_shard_parity() catches divergence, missing controls, vacuity,
-    and (since v7) a seam cell that synchronises more than classic."""
-
-    def _triple(self):
-        base = {
-            "algorithm": "open-cube", "n": 256,
-            "workload": "poisson(n=256, count=512, rate=2.0)",
-            "requests": 512, "requests_granted": 512, "total_messages": 2600,
-            "safety_ok": True, "liveness_ok": True, "jain_index": 0.71,
-        }
-        control = dict(base, label="shard-control", shards=1, sync_rounds=1)
-        classic = dict(
-            base, label="sharded-classic", shards=2,
-            shard_window="classic", sync_rounds=363,
-        )
-        sharded = dict(
-            base, label="sharded", shards=2,
-            shard_window="seam", sync_rounds=85,
-        )
-        return control, classic, sharded
-
-    def test_matching_triple_passes(self):
-        assert bench_scale.check_shard_parity(list(self._triple())) == []
-
-    def test_diverging_aggregate_fails_by_name(self):
-        control, classic, sharded = self._triple()
-        sharded["total_messages"] = 2601
-        [problem] = bench_scale.check_shard_parity([control, classic, sharded])
-        assert "total_messages=2601" in problem and "2600" in problem
-
-    def test_diverging_classic_cell_fails_too(self):
-        control, classic, sharded = self._triple()
-        classic["requests_granted"] = 511
-        [problem] = bench_scale.check_shard_parity([control, classic, sharded])
-        assert "requests_granted=511" in problem and "window=classic" in problem
-
-    def test_seam_spending_more_rounds_than_classic_fails(self):
-        control, classic, sharded = self._triple()
-        sharded["sync_rounds"] = classic["sync_rounds"] + 1
-        [problem] = bench_scale.check_shard_parity([control, classic, sharded])
-        assert "sync rounds" in problem and "never synchronise more" in problem
-
-    def test_missing_control_fails(self):
-        _, _, sharded = self._triple()
-        [problem] = bench_scale.check_shard_parity([sharded])
-        assert "no shards=1 control" in problem
-
-    def test_sweep_without_sharded_cells_fails_not_passes_vacuously(self):
-        [problem] = bench_scale.check_shard_parity([])
-        assert "--shards" in problem

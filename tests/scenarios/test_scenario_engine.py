@@ -48,6 +48,34 @@ class TestSpecSerialisation:
     def test_round_trip_minimal(self):
         spec = poisson_spec()
         assert ScenarioSpec.from_dict(spec.to_dict()) == spec
+        # Documents from before the sharded engine's removal still load as
+        # serial cells; a sharded one is refused, never run serially.
+        legacy = dict(spec.to_dict(), shards=0, shard_by="range", shard_window="seam")
+        assert ScenarioSpec.from_dict(legacy) == spec
+        with pytest.raises(ConfigurationError, match="sharded single-run engine was removed"):
+            ScenarioSpec.from_dict(dict(legacy, shards=2))
+
+    @pytest.mark.parametrize(
+        "legacy_keys",
+        [
+            {"shards": 0},
+            {"shard_by": "cube"},
+            {"shard_window": "classic"},
+            {"shards": 0, "shard_by": "range", "shard_window": "seam"},
+        ],
+        ids=["count-zero", "partition", "window", "all-three"],
+    )
+    def test_legacy_engine_keys_load_as_a_serial_cell(self, legacy_keys):
+        spec = poisson_spec(metrics_detail="telemetry", label="legacy")
+        loaded = ScenarioSpec.from_dict(dict(spec.to_dict(), **legacy_keys))
+        assert loaded == spec
+        assert not any(key.startswith("shard") for key in loaded.to_dict())
+
+    @pytest.mark.parametrize("count", [1, 2, 8])
+    def test_legacy_sharded_cell_is_refused_by_name(self, count):
+        document = dict(poisson_spec().to_dict(), shards=count, shard_by="range")
+        with pytest.raises(ConfigurationError, match=f"shards={count}.*was removed"):
+            ScenarioSpec.from_dict(document)
 
     def test_round_trip_full(self):
         spec = poisson_spec(
@@ -113,6 +141,10 @@ class TestScenarioExecution:
         assert row["requests_granted"] == direct.requests_granted
         assert row["events"] == direct.events
         assert row["safety_ok"] is True and row["liveness_ok"] is True
+        # peak_rss_mb is the monotone process high-water mark; rss_delta_mb
+        # is this cell's own growth of it.
+        assert row["rss_delta_mb"] >= 0.0
+        assert row["peak_rss_mb"] >= row["rss_delta_mb"]
 
     def test_counters_cell_skips_analysis_and_keeps_no_records(self):
         row = run_scenario(poisson_spec(metrics_detail="counters"))

@@ -17,7 +17,7 @@ import json
 
 import pytest
 
-from repro.baselines.registry import build_cluster
+from repro.baselines.registry import algorithm_names, build_cluster
 from repro.core import messages
 from repro.workload.arrivals import poisson_arrivals, poisson_stream
 
@@ -201,11 +201,6 @@ class TestTraceExportDeterminism:
         second = self._export(telemetry=self.TELEMETRY, stream=True)
         assert first == second
 
-    def test_sharded_path_is_byte_identical(self):
-        first = self._export(telemetry=self.TELEMETRY, shards=1)
-        second = self._export(telemetry=self.TELEMETRY, shards=1)
-        assert first == second
-
     def test_export_reconstructs_full_journey(self):
         """At least one sampled trace shows issue→hops→token→grant→exit."""
         block = json.loads(self._export(telemetry={"trace_sample": 1.0}))
@@ -225,6 +220,52 @@ class TestTraceExportDeterminism:
         assert token_hops[-1]["to"] == trace["node"]
         assert token_hops[-1]["delivered_at"] is not None
         assert token_hops[-1]["delivered_at"] <= trace["granted_at"]
+
+
+class TestEveryAlgorithmIsDeterministic:
+    """The golden digests pin two algorithms; the same contract holds for all.
+
+    Every registered algorithm must replay a seeded run byte-for-byte, agree
+    across the three metrics detail modes, and agree between eager and
+    streamed workload injection.
+    """
+
+    @staticmethod
+    def _run(algorithm, *, detail="full", streamed=False):
+        messages._request_counter = itertools.count(1)
+        cluster = build_cluster(
+            algorithm, 16, seed=29, trace=detail == "full", metrics_detail=detail
+        )
+        if streamed:
+            stream = poisson_stream(16, 48, rate=0.6, seed=31, hold=0.3)
+            cluster.feed_workload(stream, window=4)
+        else:
+            poisson_arrivals(16, 48, rate=0.6, seed=31, hold=0.3).apply(cluster)
+        cluster.run_until_quiescent()
+        return cluster
+
+    @pytest.mark.parametrize("algorithm", algorithm_names())
+    def test_seeded_run_replays_byte_for_byte(self, algorithm):
+        first = trace_digest([self._run(algorithm)])
+        second = trace_digest([self._run(algorithm)])
+        assert first == second
+
+    @pytest.mark.parametrize("algorithm", algorithm_names())
+    def test_detail_modes_agree_on_the_summary(self, algorithm):
+        summaries = {
+            detail: self._run(algorithm, detail=detail).metrics.summary()
+            for detail in ("full", "counters", "telemetry")
+        }
+        assert summaries["full"]["requests_granted"] == 48
+        assert summaries["counters"] == summaries["full"]
+        assert summaries["telemetry"] == summaries["full"]
+
+    @pytest.mark.parametrize("algorithm", algorithm_names())
+    def test_streamed_run_matches_eager_run(self, algorithm):
+        eager = self._run(algorithm, detail="counters")
+        streamed = self._run(algorithm, detail="counters", streamed=True)
+        assert streamed.metrics.summary() == eager.metrics.summary()
+        assert streamed.simulator.processed_events == eager.simulator.processed_events
 
 
 class TestCountersModeEquivalence:

@@ -8,7 +8,14 @@ import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.simulation.metrics import MetricsCollector
-from repro.simulation.network import ChannelState, ConstantDelay, PerHopDelay, UniformDelay
+from repro.simulation.network import (
+    ChannelState,
+    ConstantDelay,
+    DelayModel,
+    ParetoDelay,
+    PerHopDelay,
+    UniformDelay,
+)
 from repro.simulation.trace import NullTracer, TraceCategory, Tracer
 
 
@@ -53,6 +60,73 @@ class TestDelayModels:
     def test_per_hop_invalid_configuration(self):
         with pytest.raises(ConfigurationError):
             PerHopDelay(base=0.0)
+
+
+#: One configured instance of every delay model, keyed for readable test ids.
+DELAY_MODELS = {
+    "constant": lambda: ConstantDelay(1.5),
+    "uniform": lambda: UniformDelay(0.5, 1.0),
+    "per-hop": lambda: PerHopDelay(base=0.2, jitter=0.1, dimensions=5),
+    "pareto": lambda: ParetoDelay(alpha=1.1, scale=0.2, cap=4.0),
+}
+
+
+class TestDelayModelContract:
+    @pytest.mark.parametrize("kind", sorted(DELAY_MODELS))
+    def test_bound_sampler_draws_exactly_like_sample(self, kind):
+        """``bind`` is a speed-up only: same stream, same RNG consumption."""
+        model = DELAY_MODELS[kind]()
+        pairs = [(s, d) for s in range(1, 33) for d in (1, 7, 32) if s != d]
+        rng_a, rng_b = random.Random(5), random.Random(5)
+        bound = model.bind(rng_b)
+        assert [model.sample(s, d, rng_a) for s, d in pairs] == [bound(s, d) for s, d in pairs]
+        assert rng_a.random() == rng_b.random()
+
+    @pytest.mark.parametrize("kind", sorted(DELAY_MODELS))
+    def test_samples_are_positive_and_never_exceed_delta(self, kind):
+        model = DELAY_MODELS[kind]()
+        sampler = model.bind(random.Random(11))
+        samples = [sampler(s, 33 - s) for s in range(1, 33) for _ in range(40)]
+        assert min(samples) > 0
+        assert max(samples) <= model.max_delay
+
+    def test_validate_rejects_a_non_positive_delta(self):
+        class Broken(DelayModel):
+            max_delay = 0.0
+
+            def sample(self, sender, dest, rng):
+                return 0.0
+
+        with pytest.raises(ConfigurationError, match="max_delay must be positive"):
+            Broken().validate()
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"alpha": 0.0},
+            {"scale": 0.0},
+            {"scale": 2.0, "cap": 2.0},
+        ],
+        ids=["alpha", "scale", "cap"],
+    )
+    def test_pareto_invalid_configuration(self, params):
+        with pytest.raises(ConfigurationError):
+            ParetoDelay(**params)
+
+    @pytest.mark.parametrize(
+        "params", [{"jitter": -0.1}, {"dimensions": 0}], ids=["jitter", "dimensions"]
+    )
+    def test_per_hop_invalid_jitter_and_dimensions(self, params):
+        with pytest.raises(ConfigurationError):
+            PerHopDelay(**params)
+
+    def test_pareto_tail_is_heavy_but_capped(self):
+        model = ParetoDelay(alpha=1.1, scale=0.2, cap=4.0)
+        rng = random.Random(3)
+        samples = sorted(model.sample(1, 2, rng) for _ in range(4000))
+        assert samples[0] >= model.scale
+        assert samples[len(samples) // 2] < 2 * model.scale
+        assert samples[-1] == model.cap  # the cap is hit, never exceeded
 
 
 class TestChannelState:

@@ -168,100 +168,197 @@ class TestRunControls:
         assert fired == [True]
 
 
-class TestTightenRunHorizon:
-    def test_handler_can_close_an_exclusive_window_early(self):
+class TestRunHorizon:
+    """``run(until=...)``: the serial engine's only stopping rule besides the budget."""
+
+    TIMES = (1.0, 2.0, 2.5, 4.0, 8.0)
+
+    def loaded(self):
         sim = Simulator()
         fired = []
-        sim.call_at(1.0, lambda: (fired.append(1.0), sim.tighten_run_horizon(3.0)))
-        sim.call_at(2.0, lambda: fired.append(2.0))
-        sim.call_at(3.0, lambda: fired.append(3.0))
-        sim.call_at(4.0, lambda: fired.append(4.0))
-        sim.run(until=10.0, exclusive=True)
+        for t in self.TIMES:
+            sim.call_at(t, lambda t=t: fired.append(t))
+        return sim, fired
+
+    @pytest.mark.parametrize("until", [0.5, 1.0, 2.4, 2.5, 7.9, 8.0, 100.0])
+    def test_horizon_processes_exactly_the_events_at_or_before_it(self, until):
+        sim, fired = self.loaded()
+        sim.run(until=until)
+        expected = [t for t in self.TIMES if t <= until]
+        assert fired == expected
+        assert sim.pending_events == len(self.TIMES) - len(expected)
+        assert sim.processed_events == len(expected)
+
+    def test_clock_stays_at_the_last_processed_event(self):
+        sim, _ = self.loaded()
+        sim.run(until=3.0)
+        assert sim.now == 2.5
+        sim.run(until=0.1)  # a horizon in the past processes nothing
+        assert sim.now == 2.5
+
+    def test_resuming_continues_in_time_order(self):
+        sim, fired = self.loaded()
+        for until in (1.5, 3.0, 5.0):
+            sim.run(until=until)
+        sim.run()
+        assert fired == list(self.TIMES)
+        assert sim.pending_events == 0
+
+    def test_events_scheduled_past_the_horizon_stay_pending(self):
+        sim = Simulator()
+        fired = []
+
+        def chain():
+            fired.append(sim.now)
+            sim.call_after(3.0, chain)
+
+        sim.call_at(0.0, chain)
+        sim.run(until=10.0)
+        assert fired == [0.0, 3.0, 6.0, 9.0]
+        assert sim.pending_events == 1
+        assert sim.now == 9.0
+
+    def test_cancelled_entries_at_the_head_are_skipped(self):
+        sim = Simulator()
+        fired = []
+        early = sim.call_at(1.0, lambda: fired.append("early"))
+        sim.call_at(2.0, lambda: fired.append("late"))
+        Simulator.cancel(early)
+        sim.run(until=1.5)
+        assert fired == []
+        assert sim.now == 0.0
+        sim.run(until=2.0)
+        assert fired == ["late"]
+
+    def test_budget_under_a_horizon_leaves_the_next_event_pending(self):
+        sim, fired = self.loaded()
+        with pytest.raises(SimulationError, match="event budget of 2"):
+            sim.run(until=5.0, max_events=2)
         assert fired == [1.0, 2.0]
-        sim.run(until=10.0, exclusive=True)
-        assert fired == [1.0, 2.0, 3.0, 4.0]
+        assert sim.pending_events == 3
+        assert sim.processed_events == 2
+        sim.run(until=5.0)
+        assert fired == [1.0, 2.0, 2.5, 4.0]
 
-    def test_tighten_never_widens_the_window(self):
+    def test_budget_is_counted_per_run_call(self):
+        sim, fired = self.loaded()
+        sim.run(until=2.0, max_events=2)
+        sim.run(until=4.0, max_events=2)
+        sim.run(max_events=1)
+        assert fired == list(self.TIMES)
+
+    def test_budget_error_on_the_quiescence_path_keeps_the_event(self):
+        sim, fired = self.loaded()
+        with pytest.raises(SimulationError):
+            sim.run(max_events=3)
+        assert fired == [1.0, 2.0, 2.5]
+        assert sim.pending_events == 2
+        sim.run()
+        assert fired == list(self.TIMES)
+
+
+class TestAgendaBookkeeping:
+    def test_peak_pending_counts_cancelled_entries(self):
         sim = Simulator()
-        fired = []
+        events = [sim.call_at(float(i), lambda: None) for i in range(6)]
+        for event in events[:4]:
+            Simulator.cancel(event)
+        assert sim.pending_events == 2
+        assert sim.peak_pending == 6
+        sim.run()
+        assert sim.peak_pending == 6
 
-        def cut_then_try_to_widen():
-            sim.tighten_run_horizon(2.0)
-            sim.tighten_run_horizon(8.0)
-
-        sim.call_at(1.0, cut_then_try_to_widen)
-        sim.call_at(3.0, lambda: fired.append(3.0))
-        sim.run(until=10.0, exclusive=True)
-        assert fired == []
-
-    def test_strict_horizon_leaves_events_at_the_cut(self):
+    def test_step_updates_clock_and_counters(self):
         sim = Simulator()
-        fired = []
-        sim.call_at(1.0, lambda: sim.tighten_run_horizon(2.0))
-        sim.call_at(2.0, lambda: fired.append(2.0))
-        sim.run(until=10.0, exclusive=True)
-        assert fired == []
+        skipped = sim.call_at(1.0, lambda: None)
+        sim.call_at(3.0, lambda: None)
+        Simulator.cancel(skipped)
+        assert sim.step() is True
+        assert sim.now == 3.0
+        assert sim.processed_events == 1
+        assert sim.pending_events == 0
+        assert sim.step() is False
 
-
-class TestEarliestEventAtOwnerFiltering:
-    def test_actions_are_attributed_via_their_label_suffix(self):
+    @pytest.mark.parametrize("scheduler", ["schedule_delivery", "schedule_request"])
+    def test_fast_path_schedulers_reject_past_times(self, scheduler):
         sim = Simulator()
-        sim.call_at(4.0, lambda: None, label="release-7")
-        sim.call_at(6.0, lambda: None, label="release-3")
-        earliest, guard = sim.earliest_event_at({3})
-        assert earliest == 6.0
-        earliest, _ = sim.earliest_event_at({7})
-        assert earliest == 4.0
-        earliest, _ = sim.earliest_event_at({1})
-        assert earliest is None
-        assert guard is None
+        sim.call_at(5.0, lambda: None)
+        sim.run()
+        with pytest.raises(SimulationError):
+            if scheduler == "schedule_delivery":
+                sim.schedule_delivery(4.0, 1, 2, "m", 3.0)
+            else:
+                sim.schedule_request(4.0, (1, 1, 0.5, None))
+        assert sim.pending_events == 0
 
-    def test_unattributable_actions_count_for_every_shard(self):
+
+class TestDispatch:
+    def test_delivery_handler_receives_plain_tuples_from_both_schedulers(self):
+        from repro.simulation.events import MessageDelivery
+
         sim = Simulator()
-        sim.call_at(5.0, lambda: None, label="checkpoint")
-        earliest, _ = sim.earliest_event_at({1})
-        assert earliest == 5.0
-        earliest, _ = sim.earliest_event_at(frozenset())
-        assert earliest == 5.0
+        seen = []
+        sim.set_delivery_handler(seen.append)
+        sim.schedule_at(1.0, MessageDelivery(sender=1, dest=2, message="a", sent_at=0.5))
+        sim.schedule_delivery(2.0, 3, 4, "b", 1.5)
+        sim.run()
+        assert seen == [(1, 2, "a", 0.5), (3, 4, "b", 1.5)]
 
-    def test_timers_are_attributed_to_their_owner(self):
+    def test_request_handler_receives_the_payload_verbatim(self):
+        sim = Simulator()
+        seen = []
+        sim.set_request_handler(lambda payload: seen.append((sim.now, payload)))
+        feeder = iter(())
+        sim.schedule_request(2.0, (5, 17, 0.25, feeder))
+        sim.run()
+        assert seen == [(2.0, (5, 17, 0.25, feeder))]
+
+    def test_timer_handler_receives_the_expiry(self):
         from repro.simulation.events import TimerExpiry
 
         sim = Simulator()
-        sim.schedule(2.0, TimerExpiry(node=9, timer_id=1, name="retry"))
-        sim.schedule(3.0, TimerExpiry(node=4, timer_id=2, name="retry"))
-        earliest, _ = sim.earliest_event_at({4})
-        assert earliest == 3.0
-        earliest, _ = sim.earliest_event_at({9, 4})
-        assert earliest == 2.0
-        earliest, _ = sim.earliest_event_at({1})
-        assert earliest is None
+        seen = []
+        sim.set_timer_handler(seen.append)
+        expiry = TimerExpiry(node=3, timer_id=9, name="enquiry", payload={"k": 1})
+        sim.schedule(1.5, expiry)
+        sim.run()
+        assert seen == [expiry]
+        assert sim.now == 1.5
 
-    def test_deliveries_are_attributed_to_their_destination(self):
-        sim = Simulator()
-        sim.schedule_delivery(7.0, sender=1, dest=2, message="m", sent_at=6.0)
-        earliest, _ = sim.earliest_event_at({2})
-        assert earliest == 7.0
-        earliest, _ = sim.earliest_event_at({1})
-        assert earliest is None
+    def test_payload_subclasses_dispatch_by_base_type(self):
+        from repro.simulation.events import TimerExpiry
 
-    def test_cancelled_entries_are_invisible(self):
-        sim = Simulator()
-        entry = sim.call_at(1.0, lambda: None, label="release-5")
-        sim.call_at(8.0, lambda: None, label="release-5")
-        Simulator.cancel(entry)
-        earliest, _ = sim.earliest_event_at({5})
-        assert earliest == 8.0
+        class NamedTimer(TimerExpiry):
+            __slots__ = ()
 
-    def test_request_entries_report_the_feeder_guard(self):
+        class LoggedAction(ScheduledAction):
+            __slots__ = ()
+
         sim = Simulator()
-        feeder = iter(())
-        sim.schedule_request(2.0, (6, 0, 1.0, feeder))
-        sim.schedule_request(5.0, (6, 1, 1.0, feeder))
-        sim.schedule_request(9.0, (1, 2, 1.0, None))
-        earliest, guard = sim.earliest_event_at({6})
-        assert earliest == 2.0
-        assert guard == 5.0
-        earliest, guard = sim.earliest_event_at({1})
-        assert earliest == 9.0
-        assert guard == 5.0
+        seen = []
+        sim.set_timer_handler(lambda payload: seen.append(("timer", payload.name)))
+        sim.schedule(1.0, NamedTimer(node=1, timer_id=1, name="t"))
+        sim.schedule(2.0, LoggedAction(label="a", action=lambda: seen.append(("action", "a"))))
+        sim.run()
+        assert seen == [("timer", "t"), ("action", "a")]
+
+    def test_unknown_payload_rejected_at_schedule_time(self):
+        sim = Simulator()
+        with pytest.raises(SimulationError, match="unknown event payload"):
+            sim.schedule_at(1.0, object())
+        assert sim.pending_events == 0
+
+    @pytest.mark.parametrize("until", [None, 10.0])
+    def test_handler_swapped_mid_run_takes_effect(self, until):
+        sim = Simulator()
+        seen = []
+        sim.set_delivery_handler(lambda payload: seen.append(("old", payload[2])))
+
+        def swap():
+            sim.set_delivery_handler(lambda payload: seen.append(("new", payload[2])))
+
+        sim.schedule_delivery(1.0, 1, 2, "x", 0.0)
+        sim.call_at(2.0, swap)
+        sim.schedule_delivery(3.0, 1, 2, "y", 0.0)
+        sim.run(until=until)
+        assert seen == [("old", "x"), ("new", "y")]

@@ -3,8 +3,8 @@
 The contract under test: sampling is a pure function of
 ``(seed, request_id)`` (no RNG state anywhere), the recorder reconstructs
 issue → REQUEST hops → token hops → grant → exit from the hook stream it
-passively observes, memory stays bounded, the state pickles across the
-sharded engine's fork pipe, and the Chrome trace-event export is valid.
+passively observes, memory stays bounded, the state pickles, and the
+Chrome trace-event export is valid.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import pickle
 
 import pytest
 
-from repro.baselines.registry import build_cluster
+from repro.baselines.registry import algorithm_names, build_cluster
 from repro.core import messages
 from repro.core.messages import RequestMessage, TokenMessage
 from repro.exceptions import ConfigurationError
@@ -46,6 +46,14 @@ class TestSamplingContract:
     def test_rate_is_roughly_honoured(self):
         hits = sum(sample_request(3, rid, 0.25) for rid in range(1, 2001))
         assert 350 < hits < 650  # 500 expected; SplitMix64 is well mixed
+
+    @pytest.mark.parametrize("rate", [0.05, 0.5, 0.9])
+    def test_every_rate_is_roughly_honoured(self, rate):
+        hits = sum(sample_request(17, rid, rate) for rid in range(1, 4001))
+        assert abs(hits / 4000 - rate) < 0.03
+
+    def test_trace_ids_depend_on_the_seed(self):
+        assert trace_id_for(1, 7) != trace_id_for(2, 7)
 
     def test_trace_ids_are_stable_hex_and_distinct(self):
         ids = {trace_id_for(5, rid) for rid in range(1, 50)}
@@ -157,20 +165,6 @@ class TestRecorderLifecycle:
         trace = recorder.block()["traces"][0]
         assert trace["open_at_end"] == 4.0
 
-    def test_merge_is_deterministic_and_recapped(self):
-        left, right = self.recorder(limit=3), self.recorder(limit=3)
-        for recorder, rids in ((left, (1, 3)), (right, (2, 4))):
-            for rid in rids:
-                recorder.on_issue(rid, rid, float(rid))
-                recorder.on_grant(rid, rid + 0.5)
-                recorder.on_cs_exit(rid, rid + 0.7)
-            recorder.finalize(10.0)
-        left.merge(right)
-        block = left.block()
-        assert [t["request_id"] for t in block["traces"]] == [1, 2, 3]
-        assert block["sampled"] == 4
-        assert block["truncated"] == 1
-
     def test_recorder_pickles_through_the_fork_pipe(self):
         recorder = self.recorder()
         recorder.on_issue(1, 2, 1.0)
@@ -182,6 +176,31 @@ class TestRecorderLifecycle:
         clone.finalize(3.0)
         trace = clone.block()["traces"][0]
         assert trace["hops"][0]["delivered_at"] == 1.5
+
+
+class TestEveryAlgorithmIsTraced:
+    @pytest.mark.parametrize("algorithm", algorithm_names())
+    def test_full_sample_traces_every_request_in_causal_order(self, algorithm):
+        from repro.experiments.runner import run_workload
+
+        messages._request_counter = itertools.count(1)
+        result = run_workload(
+            algorithm,
+            16,
+            poisson_arrivals(16, 40, rate=0.6, seed=9, hold=0.2),
+            seed=13,
+            metrics_detail="telemetry",
+            telemetry={"trace_sample": 1.0, "trace_limit": 64},
+        )
+        block = result.traces
+        assert block["sampled"] == block["retained"] == 40
+        assert block["truncated"] == 0
+        for trace in block["traces"]:
+            assert trace["issued_at"] <= trace["granted_at"] <= trace["exited_at"]
+            for hop in trace["hops"]:
+                assert hop["delivered_at"] is not None
+                assert hop["sent_at"] <= hop["delivered_at"] <= trace["exited_at"]
+        assert any(hop["category"] == "token" for t in block["traces"] for hop in t["hops"])
 
 
 class TestHubIntegration:

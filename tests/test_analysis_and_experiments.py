@@ -22,6 +22,7 @@ from repro.experiments import (
     run_workload,
     single_failure_probe_cost,
 )
+from repro.simulation.network import NetworkFaults
 from repro.workload.arrivals import serial_round_robin
 
 
@@ -223,6 +224,60 @@ class TestQuantitativeExperiments:
                 metrics_detail="full",
                 cluster_kwargs={"metrics_detail": "counters"},
             )
+
+    def test_run_workload_agreeing_duplicate_options_are_accepted(self):
+        faults = NetworkFaults()
+        workload = serial_round_robin(8, spacing=50.0, hold=0.25)
+        result = run_workload(
+            "open-cube",
+            8,
+            workload,
+            metrics_detail="telemetry",
+            telemetry={"trace_sample": 0.5},
+            network_faults=faults,
+            cluster_kwargs={
+                "metrics_detail": "telemetry",
+                "telemetry_options": {"trace_sample": 0.5},
+                "network_faults": faults,
+            },
+        )
+        assert result.cluster.metrics.detail == "telemetry"
+        assert result.traces is not None and result.traces["sample_rate"] == 0.5
+
+    @pytest.mark.parametrize(
+        "make_kwargs, message",
+        [
+            (
+                lambda: {
+                    "metrics_detail": "telemetry",
+                    "telemetry": {"trace_sample": 0.5},
+                    "cluster_kwargs": {"telemetry_options": {"trace_sample": 1.0}},
+                },
+                "conflicting telemetry options",
+            ),
+            (
+                lambda: {
+                    "network_faults": NetworkFaults(loss_rate=0.1),
+                    "cluster_kwargs": {"network_faults": NetworkFaults(loss_rate=0.1)},
+                },
+                "conflicting network faults",
+            ),
+            (
+                lambda: {
+                    "metrics_detail": "counters",
+                    "liveness_thresholds": {"max_grant_gap": 5.0},
+                },
+                "need an analysed run",
+            ),
+        ],
+        ids=["telemetry-options", "network-faults", "thresholds-on-counters"],
+    )
+    def test_run_workload_rejects_conflicting_or_unanalysable_options(
+        self, make_kwargs, message
+    ):
+        workload = serial_round_robin(8, spacing=50.0, hold=0.25)
+        with pytest.raises(ConfigurationError, match=message):
+            run_workload("open-cube", 8, workload, **make_kwargs())
 
     def test_run_workload_full_mode_reports_real_booleans(self):
         workload = serial_round_robin(8, spacing=50.0, hold=0.25)
