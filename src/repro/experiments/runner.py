@@ -185,7 +185,6 @@ class RunResult:
     #: Per-node fairness block (Jain index, grant shares, max per-node
     #: starvation gap); populated whenever the fairness census ran.
     fairness: dict[str, Any] | None = None
-    extra: dict[str, Any] = field(default_factory=dict)
 
     def as_row(self) -> dict[str, Any]:
         """Flatten into a dictionary usable as a table row."""

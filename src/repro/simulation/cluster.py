@@ -12,6 +12,7 @@ delay model, injects fail-stop failures, and records everything in a
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from typing import Any, Callable, Iterable, Mapping
 
 from repro.core.messages import Message, next_request_id
@@ -27,16 +28,25 @@ __all__ = ["SimEnvironment", "SimulatedCluster"]
 
 
 class SimEnvironment(Environment):
-    """Environment implementation backed by a :class:`SimulatedCluster`."""
+    """Environment implementation backed by a :class:`SimulatedCluster`.
+
+    ``send`` is an instance slot, not a method: it holds
+    ``functools.partial(cluster_send, node_id)`` over the one send function
+    the cluster builds for all its nodes (see
+    :meth:`SimulatedCluster._make_send`), so the send path adds only the
+    ``partial`` per node.
+    """
+
+    __slots__ = ("_cluster", "_node_id", "_next_timer_id", "_timers", "send")
 
     def __init__(self, cluster: "SimulatedCluster", node_id: int) -> None:
         self._cluster = cluster
         self._node_id = node_id
         self._next_timer_id = 0
         self._timers: dict[int, Any] = {}
-        # Per-instance closure shadows the class method: the whole send fast
-        # path runs in one frame with every stable reference pre-bound.
-        self.send = cluster._make_send(node_id)
+        # The per-node send is the cluster-wide send with this node bound as
+        # the sender: one function per cluster, one partial per node.
+        self.send = partial(cluster._cluster_send, node_id)
 
     @property
     def node_id(self) -> int:
@@ -49,15 +59,6 @@ class SimEnvironment(Environment):
     @property
     def max_delay(self) -> float:
         return self._cluster.delay_model.max_delay
-
-    def send(self, dest: int, message: Message) -> None:  # pragma: no cover
-        # Never reached: __init__ installs the per-instance fast-path closure
-        # which shadows this method.  The body exists to satisfy the
-        # Environment ABC and to fail loudly if the shadowing ever breaks
-        # (delegating here would recurse through _send -> env.send).
-        raise AssertionError(
-            "SimEnvironment.send is shadowed by the per-instance fast path"
-        )
 
     def set_timer(self, delay: float, name: str, payload: Any = None) -> int:
         self._next_timer_id += 1
@@ -111,9 +112,10 @@ class SimulatedCluster:
             :meth:`request_cs` when the caller does not specify one.
 
     NOTE: ``delay_model``, ``metrics``, ``channels``, ``nodes`` and the FIFO
-    flag are bound into per-node send fast paths at construction time.  Do
-    not reassign these attributes on a live cluster — the hot paths would
-    keep using the originals; build a new cluster instead.
+    flag are bound into the cluster's one send function at construction
+    time (every node sends through a ``partial`` of it).  Do not reassign
+    these attributes on a live cluster — the hot path would keep using the
+    originals; build a new cluster instead.
     """
 
     def __init__(
@@ -150,7 +152,7 @@ class SimulatedCluster:
         if network_faults is not None:
             network_faults.validate_nodes(len(self.nodes))
         #: The adversarial fault layer, or ``None`` when disabled — the send
-        #: fast path specialises on this at bind time (see _make_send).
+        #: function specialises on this at build time (see _make_send).
         self.network_faults: NetworkFaults | None = (
             network_faults if network_faults is not None and network_faults.enabled else None
         )
@@ -158,9 +160,9 @@ class SimulatedCluster:
         self.cs_duration = cs_duration
         self.failed: set[int] = set()
         self._environments: dict[int, SimEnvironment] = {}
-        self._pending_request_ids: dict[int, deque[int]] = {
-            node_id: deque() for node_id in self.nodes
-        }
+        #: Issued-but-not-granted request ids per node, oldest first; a
+        #: node's deque is created on its first issue.
+        self._pending_request_ids: dict[int, deque[int]] = {}
         self._active_request: dict[int, int | None] = {node_id: None for node_id in self.nodes}
         self._auto_release: dict[int, float | None] = {node_id: None for node_id in self.nodes}
         self._grant_listeners: list[Callable[[int, float], None]] = []
@@ -193,7 +195,7 @@ class SimulatedCluster:
             )
         # Causal trace recorder (None unless telemetry tracing is on); bound
         # here so the sampling seed is pinned before the first issue and the
-        # send fast paths can specialise on `recorder is None` at bind time.
+        # send function can specialise on `recorder is None` at build time.
         recorder = telemetry.tracing if telemetry is not None else None
         if recorder is not None:
             recorder.bind_seed(seed)
@@ -202,11 +204,16 @@ class SimulatedCluster:
         self.simulator.set_delivery_handler(self._deliver)
         self.simulator.set_timer_handler(self._fire_timer)
         self.simulator.set_request_handler(self._dispatch_request)
+        # Shared by every node: one send function and one bound grant
+        # callback per cluster keep the per-node build footprint to the
+        # environment and its partial.
+        self._cluster_send = self._make_send()
+        on_granted = self._on_granted
         for node_id, node in self.nodes.items():
             env = SimEnvironment(self, node_id)
             self._environments[node_id] = env
             node.bind(env)
-            node.set_granted_callback(self._on_granted)
+            node.set_granted_callback(on_granted)
 
     # ------------------------------------------------------------------
     # Properties
@@ -240,17 +247,19 @@ class SimulatedCluster:
     # ------------------------------------------------------------------
     # Message plumbing
     # ------------------------------------------------------------------
-    def _make_send(self, sender: int) -> Callable[[int, Message], None]:
-        """Build the per-node send fast path (installed as ``env.send``).
+    def _make_send(self) -> Callable[[int, int, Message], None]:
+        """Build the cluster's one send function ``send(sender, dest, message)``.
 
-        This is the hottest code of the whole simulation: every protocol
-        message runs through the returned closure once.  All stable
-        references (node table, failed set, metrics recorder, sampler,
-        scheduler) are captured at bind time so a send costs one frame and
-        no repeated attribute chains.  Drops are accounted at *delivery*
-        time (the fail-stop model loses messages in transit, not at the
-        sender), so a send towards a currently failed node is recorded as a
-        plain send.
+        Called once per cluster; each node's ``env.send`` is
+        ``functools.partial(send, node_id)``.  This is the hottest code of
+        the whole simulation: every protocol message runs through the
+        returned function once.  All stable references (node table, failed
+        set, metrics recorder, sampler, scheduler) are captured at build
+        time so a send costs one frame and no repeated attribute chains.
+        The fault-free / adversarial choice is made here, once.  Drops are
+        accounted at *delivery* time (the fail-stop model loses messages in
+        transit, not at the sender), so a send towards a currently failed
+        node is recorded as a plain send.
         """
         nodes = self.nodes
         failed = self.failed
@@ -276,7 +285,7 @@ class SimulatedCluster:
         if faults is None:
             # Reliable channels (the paper's model): the historical fast
             # path, untouched — fault-free runs stay bit-identical.
-            def send(dest: int, message: Message) -> None:
+            def send(sender: int, dest: int, message: Message) -> None:
                 if dest not in nodes:
                     raise SimulationError(
                         f"node {sender} sent a message to unknown node {dest}"
@@ -317,7 +326,7 @@ class SimulatedCluster:
         fault_rand = faults.rng.random
         fault_delay = self.delay_model.bind(faults.rng)
 
-        def send(dest: int, message: Message) -> None:
+        def send(sender: int, dest: int, message: Message) -> None:
             if dest not in nodes:
                 raise SimulationError(
                     f"node {sender} sent a message to unknown node {dest}"
@@ -382,10 +391,6 @@ class SimulatedCluster:
                 schedule_delivery(now + fault_delay(sender, dest), sender, dest, message, now)
 
         return send
-
-    def _send(self, sender: int, dest: int, message: Message) -> None:
-        """Route one message (slow path for direct callers and tests)."""
-        self._environments[sender].send(dest, message)
 
     def _deliver(self, delivery: tuple[int, int, Message, float]) -> None:
         # The simulator hands deliveries over as plain tuples (see
@@ -583,7 +588,10 @@ class SimulatedCluster:
         trace = self._trace
         if trace is not None:
             trace.emit(now, TraceCategory.REQUEST, node_id, request=request_id)
-        self._pending_request_ids[node_id].append(request_id)
+        pending = self._pending_request_ids.get(node_id)
+        if pending is None:
+            pending = self._pending_request_ids[node_id] = deque()
+        pending.append(request_id)
         self._auto_release[node_id] = hold
         self.nodes[node_id].acquire()
 
@@ -593,7 +601,7 @@ class SimulatedCluster:
 
     def _on_granted(self, node_id: int) -> None:
         now = self.simulator.now
-        pending = self._pending_request_ids[node_id]
+        pending = self._pending_request_ids.get(node_id)
         request_id = pending.popleft() if pending else None
         self._active_request[node_id] = request_id
         self.metrics.record_cs_enter(node_id, now)
@@ -652,7 +660,7 @@ class SimulatedCluster:
             # Requests the node had issued (or was serving) die with it;
             # forgetting them keeps later grants matched to the right
             # request records after a recovery.
-            self._pending_request_ids[node_id].clear()
+            self._pending_request_ids.pop(node_id, None)
             self._active_request[node_id] = None
             self._auto_release[node_id] = None
             self.nodes[node_id].on_crash()

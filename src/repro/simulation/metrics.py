@@ -189,10 +189,12 @@ class MetricsCollector:
 
         NOTE: simulated sends in counters mode do NOT go through this method
         or :meth:`_record_send_counters` — the cluster inlines the same
-        counter updates into its send closure (``SimulatedCluster._make_send``)
-        to avoid a per-message frame.  A new or changed counter must be
-        mirrored there, and ``tests/simulation/test_determinism.py`` asserts
-        both modes stay aggregate-equivalent.
+        counter updates into its one send function
+        (``SimulatedCluster._make_send``; each node sends through a
+        ``partial`` of it) to avoid a per-message frame.  A new or changed
+        counter must be mirrored there, and
+        ``tests/simulation/test_determinism.py`` asserts both modes stay
+        aggregate-equivalent.
         """
         self._total_sent += 1
         self.messages_by_kind[kind] += 1

@@ -25,7 +25,12 @@ class Environment(abc.ABC):
     paper's model (asynchronous reliable channels, known delay bound
     ``delta``) is realised behind this interface by the simulator or by the
     asyncio runtime.
+
+    Declares empty ``__slots__`` so a subclass that lists its own (the
+    simulator's one-per-node environment) carries no instance dict.
     """
+
+    __slots__ = ()
 
     @property
     @abc.abstractmethod

@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
+from repro.baselines.registry import build_cluster
 from repro.core.builders import build_fault_tolerant_cluster, build_opencube_cluster
+from repro.core.messages import RequestMessage
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.simulation.cluster import SimulatedCluster
 from repro.simulation.failures import FailurePlanner, FailureSchedule
-from repro.simulation.network import ConstantDelay
+from repro.simulation.network import ConstantDelay, NetworkFaults, PartitionWindow
 from repro.simulation.trace import TraceCategory
+from repro.workload.arrivals import poisson_arrivals
 
 
 class TestClusterBasics:
@@ -64,11 +69,76 @@ class TestClusterBasics:
             TraceCategory.CS_EXIT,
         } <= categories
 
+    def test_grant_to_node_that_never_issued(self):
+        # The node acquires behind the cluster's back: the grant is still
+        # recorded, matched to no request id, and nothing is auto-released.
+        cluster = build_opencube_cluster(4, delay_model=ConstantDelay(1.0))
+        grants = []
+        cluster.add_grant_listener(lambda node, time: grants.append(node))
+        cluster.node(3).acquire()
+        cluster.run_until_quiescent()
+        assert grants == [3]
+        assert cluster.node(3).in_critical_section
+        assert cluster.metrics.requests == {}
+
     def test_father_map_and_snapshots(self):
         cluster = build_opencube_cluster(8)
         fathers = cluster.father_map()
         assert fathers[1] is None and fathers[8] == 7
         assert set(cluster.snapshots()) == set(range(1, 9))
+
+
+def traced_sends_by_sender(cluster):
+    """Per-sender count of SEND trace records, injected duplicates excluded."""
+    return Counter(
+        record.node
+        for record in cluster.tracer.by_category(TraceCategory.SEND)
+        if record.details.get("fault") != "duplicate"
+    )
+
+
+class TestSharedSendPath:
+    """Every node sends through one cluster-wide function; the sender must
+    still be attributed per node, on both the fault-free and the
+    adversarial variant, in both the record-keeping and counters modes."""
+
+    @pytest.mark.parametrize("detail", ["full", "counters"])
+    def test_fault_free_sends_attributed_to_sender(self, detail):
+        cluster = build_cluster("open-cube", 16, seed=3, trace=True, metrics_detail=detail)
+        poisson_arrivals(16, 48, rate=0.5, seed=4, hold=0.2).apply(cluster)
+        cluster.run_until_quiescent()
+        traced = traced_sends_by_sender(cluster)
+        assert len(traced) > 1
+        assert cluster.metrics.messages_by_sender == traced
+
+    @pytest.mark.parametrize("detail", ["full", "counters"])
+    def test_adversarial_sends_attributed_to_sender(self, detail):
+        faults = NetworkFaults(
+            loss_rate=0.05,
+            dup_rate=0.1,
+            partitions=[PartitionWindow(start=5.0, heal=15.0, nodes=frozenset({3, 4}))],
+            seed=5,
+        )
+        cluster = build_cluster(
+            "open-cube-ft", 16, seed=3, trace=True, metrics_detail=detail,
+            network_faults=faults,
+        )
+        poisson_arrivals(16, 48, rate=0.5, seed=4, hold=0.2).apply(cluster)
+        cluster.run_until_quiescent()
+        metrics = cluster.metrics
+        assert metrics.lost_messages > 0
+        assert metrics.duplicated_messages > 0
+        assert metrics.blocked_messages > 0
+        assert metrics.messages_by_sender == traced_sends_by_sender(cluster)
+
+    def test_crashed_sender_is_ignored_and_not_counted(self):
+        cluster = build_cluster("open-cube", 16, seed=3, trace=True)
+        cluster.environment(2).send(1, RequestMessage(2, 2))
+        cluster.fail_node(5)
+        cluster.environment(5).send(1, RequestMessage(5, 5))
+        assert cluster.metrics.messages_by_sender == Counter({2: 1})
+        assert traced_sends_by_sender(cluster) == Counter({2: 1})
+        assert cluster.simulator.pending_events == 1
 
 
 class TestFailureInjection:
