@@ -17,7 +17,7 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_scale.py            # full sweep
     PYTHONPATH=src python benchmarks/bench_scale.py --smoke    # n=256 only (CI)
 
-What it measures, per (algorithm, n) cell (schema ``bench-scale/v8``):
+What it measures, per (algorithm, n) cell (schema ``bench-scale/v9``):
 
 * wall time of ``run_until_quiescent`` (setup excluded, split into
   ``setup_s`` — cluster construction, O(n) total since the shared
@@ -34,9 +34,6 @@ What it measures, per (algorithm, n) cell (schema ``bench-scale/v8``):
   attribution figure (0.0 for a cell that fits in the footprint an
   earlier cell already paid for; under ``--parallel`` each worker process
   has its own high-water mark, so deltas are attributed per worker),
-* ``sent_messages_records`` — stays 0 in the streaming (``counters``)
-  metrics mode even on million-message runs, demonstrating O(requests)
-  memory, and
 * ``agenda_peak`` — the simulator agenda's high-water mark: O(requests)
   when the workload is scheduled eagerly, O(active + window) for the
   streamed (``streamed: true``) cells that feed arrivals through the
@@ -83,6 +80,8 @@ What it measures, per (algorithm, n) cell (schema ``bench-scale/v8``):
   :func:`lossy_thresholds` (suspicion periods again, but more of them:
   loss strikes repeatedly where a crash schedule strikes on cue),
 * v6 and v7 carried parallel single-run engine cells; v8 drops them with the engine.
+* v9 drops the ``sent_messages_records`` column: no metrics mode keeps a
+  record per message any more, so it was 0 in every row.
 
 The open-cube rows are compared against ``PRE_CHANGE_BASELINE``: events/sec
 of the same workload/configuration measured on the engine as of the seed
@@ -501,7 +500,7 @@ def run_sweep(
     for point in complexity:
         print(json.dumps(point), flush=True)
     return {
-        "schema": "bench-scale/v8",
+        "schema": "bench-scale/v9",
         "config": {
             "sizes": sizes,
             "workload": "poisson(rate=2.0, hold=0.1, seed=0)",

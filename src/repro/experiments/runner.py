@@ -242,11 +242,12 @@ def run_workload(
             (:class:`~repro.simulation.network.NetworkFaults`: seeded loss,
             duplication, partition windows).  ``None`` (or a disabled
             instance) keeps the exact reliable-channel fast path.
-        metrics_detail: ``"full"`` (the default) keeps per-message records
-            and runs the record-based safety/liveness analysis;
-            ``"counters"`` streams aggregates only — the analysis is then
-            *skipped* and ``safety_ok``/``liveness_ok``/``analysis_ok`` are
-            ``None``; ``"telemetry"`` streams aggregates *and* checks
+        metrics_detail: ``"full"`` (the default) keeps per-request and
+            critical-section records and runs the record-based
+            safety/liveness analysis on them; ``"counters"`` keeps the same
+            records but *skips* the analysis, so
+            ``safety_ok``/``liveness_ok``/``analysis_ok`` are ``None``;
+            ``"telemetry"`` keeps no records, streams aggregates *and* checks
             safety/liveness online, so the verdicts are real booleans again
             and :attr:`RunResult.quantiles` carries the waiting-time /
             hold-time / messages-per-request distributions.  May also arrive
@@ -373,8 +374,7 @@ def run_workload(
         analysis_ok = safety_ok and liveness_ok
         online_checks = {"safety": report["safety"], "liveness": report["liveness"]}
     elif metrics_detail == "counters":
-        # Streaming counters keep no per-message records; the record-based
-        # safety/liveness verdicts would be vacuous, so mark them as
+        # Counters mode is the unanalysed mode: mark the verdicts as
         # "not analysed" instead of reporting a hollow True.
         safety_ok = liveness_ok = analysis_ok = None
     else:

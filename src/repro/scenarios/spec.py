@@ -335,7 +335,8 @@ class ScenarioSpec:
             duplication, partition windows — :class:`NetworkFaultSpec`).
             ``None`` or a disabled spec keeps the exact reliable-channel
             code path, bit-identical to a cell without the field.
-        metrics_detail: ``"full"`` or the streaming ``"counters"`` mode.
+        metrics_detail: ``"full"``, the unanalysed ``"counters"`` mode, or
+            ``"telemetry"``.
         trace: enable trace collection (off for scale runs).
         serial: declare the workload serial so per-request message counts
             are exact (see :func:`repro.experiments.runner.run_workload`).
@@ -560,7 +561,6 @@ class ScenarioResult:
             "feed_s": round(result.feed_s, 4),
             "run_s": round(run_s, 4),
             "events_per_sec": round(result.events / run_s, 1) if run_s > 0 else 0.0,
-            "sent_messages_records": len(metrics.sent_messages),
             "agenda_peak": result.agenda_peak,
             "streamed": result.streamed,
             "feed_window": spec.feed_window if result.streamed else None,

@@ -147,7 +147,6 @@ class SimulatedCluster:
         # the non-FIFO default skips the ChannelState indirection.
         self._trace: Tracer | None = self.tracer if trace else None
         self._fifo = fifo
-        self._record_send = self.metrics.record_send
         self._sample_delay = self.delay_model.bind(self.simulator.rng)
         if network_faults is not None:
             network_faults.validate_nodes(len(self.nodes))
@@ -254,7 +253,7 @@ class SimulatedCluster:
         ``functools.partial(send, node_id)``.  This is the hottest code of
         the whole simulation: every protocol message runs through the
         returned function once.  All stable references (node table, failed
-        set, metrics recorder, sampler, scheduler) are captured at build
+        set, metrics counters, sampler, scheduler) are captured at build
         time so a send costs one frame and no repeated attribute chains.
         The fault-free / adversarial choice is made here, once.  Drops are
         accounted at *delivery* time (the fail-stop model loses messages in
@@ -265,18 +264,14 @@ class SimulatedCluster:
         failed = self.failed
         simulator = self.simulator
         schedule_delivery = simulator.schedule_delivery
-        record_send = self._record_send
         sample_delay = self._sample_delay
         trace = self._trace
         fifo = self._fifo
         delivery_time = self.channels.delivery_time
-        # In streaming mode the counter updates are inlined here (bind-time
-        # specialisation) instead of paying a record_send frame per message.
-        # Keep the inlined branch in sync with MetricsCollector.record_send /
-        # _record_send_counters — the counters-vs-full equivalence test in
-        # tests/simulation/test_determinism.py guards the pair.
+        # The send counters are updated inline instead of paying a
+        # MetricsCollector.record_send frame per message; keep the two in
+        # sync.
         metrics = self.metrics
-        counters_only = not metrics._keep_records
         by_kind = metrics.messages_by_kind
         by_sender = metrics.messages_by_sender
         recorder = self._trace_recorder
@@ -296,12 +291,9 @@ class SimulatedCluster:
                     return
                 now = simulator._time
                 kind = message.kind
-                if counters_only:
-                    metrics._total_sent += 1
-                    by_kind[kind] += 1
-                    by_sender[sender] += 1
-                else:
-                    record_send(now, sender, dest, kind)
+                metrics._total_sent += 1
+                by_kind[kind] += 1
+                by_sender[sender] += 1
                 if trace is not None:
                     trace.emit(now, TraceCategory.SEND, sender, dest=dest, kind=kind)
                 if recorder is not None:
@@ -337,12 +329,9 @@ class SimulatedCluster:
             kind = message.kind
             # The send is accounted first in every case — the sender did its
             # part; it is the network that eats or clones the message.
-            if counters_only:
-                metrics._total_sent += 1
-                by_kind[kind] += 1
-                by_sender[sender] += 1
-            else:
-                record_send(now, sender, dest, kind)
+            metrics._total_sent += 1
+            by_kind[kind] += 1
+            by_sender[sender] += 1
             if trace is not None:
                 trace.emit(now, TraceCategory.SEND, sender, dest=dest, kind=kind)
             if recorder is not None:

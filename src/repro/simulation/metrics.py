@@ -2,70 +2,58 @@
 
 The paper's quantitative claims are *message counts*: messages per request in
 the failure-free case, extra messages per failure in the fault-tolerant case.
-The :class:`MetricsCollector` therefore records every send (classified by
-message type), every critical-section entry/exit, every request issue/grant
-pair, and every injected failure, so the experiment harness can compute those
-quantities without instrumenting the algorithms themselves.
+The :class:`MetricsCollector` therefore counts every send (classified by
+message type and by sender), records every critical-section entry/exit,
+every request issue/grant pair, and every injected failure, so the experiment
+harness can compute those quantities without instrumenting the algorithms
+themselves.
 
 Detail modes
 ------------
 
-``MetricsCollector(detail="full")`` (the default) keeps one
-:class:`SentMessage` record per send, so memory grows with the number of
-messages — fine for experiments, wasteful for large benchmarks.  This is the
-only mode the record-based safety/liveness analysis
-(:mod:`repro.verification`) runs on.
+Every mode counts a send with the same three integer counters
+(``messages_by_kind``, ``messages_by_sender``, the global total); no mode
+keeps a record per message, so memory never grows with the message count.
 
-``detail="counters"`` drops the per-*message* records: sends only bump
-integer counters (``messages_by_kind``, ``messages_by_sender``, the global
-total), so memory stays O(requests) regardless of how many messages flow.
-The per-*request* records are still kept, so every aggregate in
-:meth:`MetricsCollector.summary` — totals, per-kind breakdown, per-request
-message attribution, waiting times — is identical to full mode; but note
-that :func:`repro.experiments.runner.run_workload` *skips* the record-based
-safety/liveness analysis in this mode and reports
+``MetricsCollector(detail="full")`` (the default) keeps one
+:class:`RequestRecord` per request and one :class:`CriticalSectionInterval`
+per critical-section entry — memory O(requests) — and is the mode the
+record-based safety/liveness analysis (:mod:`repro.verification`) runs on.
+
+``detail="counters"`` keeps exactly the same records as full mode, so every
+aggregate in :meth:`MetricsCollector.summary` — totals, per-kind breakdown,
+per-request message attribution, waiting times — is identical; the only
+difference is that :func:`repro.experiments.runner.run_workload` *skips* the
+record-based safety/liveness analysis in this mode and reports
 ``safety_ok/liveness_ok/analysis_ok = None`` ("not analysed", never a hollow
 ``True``).
 
 ``detail="telemetry"`` is the constant-memory scale mode: no
-:class:`SentMessage` *and* no :class:`RequestRecord` lists at all.  Instead
-the collector owns a :class:`~repro.telemetry.collector.RunTelemetry` hub
-that checks safety/liveness *online* (every CS enter/exit and grant) and
+:class:`RequestRecord` or :class:`CriticalSectionInterval` lists at all.
+Instead the collector owns a :class:`~repro.telemetry.collector.RunTelemetry`
+hub that checks safety/liveness *online* (every CS enter/exit and grant) and
 folds waiting time, CS hold time and messages-per-request into streaming
 quantile sketches — so scale runs report real ``safety_ok``/``liveness_ok``
 booleans and p50/p90/p99 distributions in O(1) memory per metric.
 :meth:`summary` stays aggregate-identical to the other modes; the
-record-returning helpers (``sent_messages``, ``requests``,
-``satisfied_requests()``, ``messages_per_request()``) return empty
-containers, by design.
+record-returning helpers (``requests``, ``satisfied_requests()``,
+``messages_per_request()``) return empty containers, by design.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Mapping
 
 from repro.exceptions import ConfigurationError
 from repro.telemetry.collector import RunTelemetry, TelemetryOptions
 
 __all__ = [
-    "SentMessage",
     "CriticalSectionInterval",
     "RequestRecord",
     "MetricsCollector",
 ]
-
-
-@dataclass(frozen=True, slots=True)
-class SentMessage:
-    """One message send event."""
-
-    time: float
-    sender: int
-    dest: int
-    kind: str
-    dropped: bool = False
 
 
 @dataclass(slots=True)
@@ -112,10 +100,10 @@ class MetricsCollector:
     """Accumulates counters and per-request records during a run.
 
     Args:
-        detail: ``"full"`` keeps a :class:`SentMessage` record per send;
-            ``"counters"`` only maintains integer counters so memory stays
-            O(requests) on arbitrarily long runs; ``"telemetry"`` also drops
-            the per-request records and streams everything through a
+        detail: ``"full"`` and ``"counters"`` keep the per-request and
+            critical-section records (memory O(requests)) and differ only in
+            whether the run is analysed afterwards; ``"telemetry"`` also
+            drops those records and streams everything through a
             :class:`~repro.telemetry.collector.RunTelemetry` hub (see the
             module docstring).
         telemetry_options: configuration of the telemetry hub
@@ -138,9 +126,10 @@ class MetricsCollector:
                 f"telemetry_options only apply to detail='telemetry', got {detail!r}"
             )
         self.detail = detail
-        self._keep_records = detail == "full"
         self._total_sent: int = 0
-        self.sent_messages: list[SentMessage] = []
+        #: Always empty: sends are only counted, never recorded one by one.
+        #: Kept because benchmark drivers still read its length.
+        self.sent_messages: list[Any] = []
         self.messages_by_kind: Counter[str] = Counter()
         self.messages_by_sender: Counter[int] = Counter()
         self.dropped_messages: int = 0
@@ -165,14 +154,11 @@ class MetricsCollector:
         self._open_cs: dict[int, CriticalSectionInterval] = {}
         #: The online-telemetry hub; ``None`` outside telemetry mode.
         self.telemetry: RunTelemetry | None = None
-        if not self._keep_records:
-            # Shadow the method with the streaming variant so the hot path
-            # pays no per-send mode branch.
-            self.record_send = self._record_send_counters  # type: ignore[method-assign]
         if detail == "telemetry":
             self.telemetry = RunTelemetry(telemetry_options)
-            # Same shadowing trick for the per-request/CS hooks: telemetry
-            # variants keep no records and feed the hub instead.
+            # Shadow the per-request/CS hooks so the hot path pays no
+            # per-call mode branch: telemetry variants keep no records and
+            # feed the hub instead.
             self.record_request_issued = self._record_request_issued_telemetry  # type: ignore[method-assign]
             self.record_request_granted = self._record_request_granted_telemetry  # type: ignore[method-assign]
             self.record_request_released = self._record_request_released_telemetry  # type: ignore[method-assign]
@@ -185,28 +171,14 @@ class MetricsCollector:
     def record_send(
         self, time: float, sender: int, dest: int, kind: str, dropped: bool = False
     ) -> None:
-        """Record a message send; ``dropped`` marks sends to failed nodes.
+        """Count a message send; ``dropped`` marks sends to failed nodes.
 
-        NOTE: simulated sends in counters mode do NOT go through this method
-        or :meth:`_record_send_counters` — the cluster inlines the same
-        counter updates into its one send function
+        NOTE: simulated sends do NOT go through this method — the cluster
+        inlines the same counter updates into its one send function
         (``SimulatedCluster._make_send``; each node sends through a
         ``partial`` of it) to avoid a per-message frame.  A new or changed
-        counter must be mirrored there, and
-        ``tests/simulation/test_determinism.py`` asserts both modes stay
-        aggregate-equivalent.
+        counter must be mirrored there.
         """
-        self._total_sent += 1
-        self.messages_by_kind[kind] += 1
-        self.messages_by_sender[sender] += 1
-        self.sent_messages.append(SentMessage(time, sender, dest, kind, dropped))
-        if dropped:
-            self.dropped_messages += 1
-
-    def _record_send_counters(
-        self, time: float, sender: int, dest: int, kind: str, dropped: bool = False
-    ) -> None:
-        """Streaming-mode :meth:`record_send`: counters only, no records."""
         self._total_sent += 1
         self.messages_by_kind[kind] += 1
         self.messages_by_sender[sender] += 1

@@ -2,7 +2,7 @@
 
 The subsystem behind ``metrics_detail="telemetry"`` (see
 :class:`repro.simulation.metrics.MetricsCollector`): big streamed runs keep
-zero per-message/per-request records yet still report
+zero per-request/critical-section records yet still report
 
 * real ``safety_ok``/``liveness_ok`` verdicts — checked online, at every CS
   enter/exit and request grant (:mod:`repro.telemetry.online`),

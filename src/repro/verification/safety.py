@@ -9,6 +9,7 @@ Naimi-Trehel, ...) without instrumenting them individually.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -91,17 +92,32 @@ def crashed_in_critical_section(metrics: MetricsCollector) -> set[int]:
     """Return nodes that crashed while holding the critical section.
 
     Their open intervals must be excluded from the overlap check: fail-stop
-    means they stopped executing at the crash instant.
+    means they stopped executing at the crash instant.  A crash at time
+    ``t`` falls inside an interval when ``entered_at <= t`` and the interval
+    was never exited or was exited after ``t``.
+
+    Crash times are grouped by node, so an interval of a node that never
+    crashed costs one lookup and the others one binary search:
+    O(failures + intervals) up to the log of one node's crash count.
     """
-    crashed: set[int] = set()
+    crash_times: dict[int, list[float]] = {}
     for crash_time, node in metrics.failures:
-        for interval in metrics.cs_intervals:
-            if (
-                interval.node == node
-                and interval.entered_at <= crash_time
-                and (interval.exited_at is None or interval.exited_at > crash_time)
-            ):
-                crashed.add(node)
+        crash_times.setdefault(node, []).append(crash_time)
+    for times in crash_times.values():
+        times.sort()
+    crashed: set[int] = set()
+    for interval in metrics.cs_intervals:
+        node = interval.node
+        times = crash_times.get(node)
+        if times is None or node in crashed:
+            continue
+        # The earliest crash at or after the entry is the only candidate: a
+        # later one cannot fall inside the interval if this one does not.
+        index = bisect_left(times, interval.entered_at)
+        if index < len(times) and (
+            interval.exited_at is None or interval.exited_at > times[index]
+        ):
+            crashed.add(node)
     return crashed
 
 

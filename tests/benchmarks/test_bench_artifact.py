@@ -33,7 +33,7 @@ ROW_COLUMNS = {
     "algorithm", "n", "metrics_detail", "workload", "seed", "requests",
     "requests_granted", "total_messages", "messages_per_request",
     "mean_waiting_time", "safety_ok", "liveness_ok", "analysis_ok", "events",
-    "setup_s", "feed_s", "run_s", "events_per_sec", "sent_messages_records",
+    "setup_s", "feed_s", "run_s", "events_per_sec",
     "agenda_peak", "streamed", "feed_window", "peak_rss_mb",
 }
 
@@ -66,7 +66,7 @@ def smoke_document(tmp_path_factory):
 class TestSmokeArtifactSchema:
     def test_schema_version_and_config(self, smoke_document):
         document = smoke_document["document"]
-        assert document["schema"] == "bench-scale/v8"
+        assert document["schema"] == "bench-scale/v9"
         assert document["config"]["lossy_network"]["loss_rate"] == (
             bench_scale.LOSSY_LOSS_RATE
         )
@@ -139,10 +139,11 @@ class TestSmokeArtifactSchema:
             lossy["n"]
         )
 
-    def test_streamed_cells_keep_zero_message_records(self, smoke_document):
+    def test_rows_drop_the_message_records_column(self, smoke_document):
+        # v9: no metrics mode keeps a record per message, so the column
+        # that counted them is gone from every row.
         for row in smoke_document["document"]["results"]:
-            if row["streamed"]:
-                assert row["sent_messages_records"] == 0, row["algorithm"]
+            assert "sent_messages_records" not in row, row["algorithm"]
 
     def test_jsonl_stream_matches_results_array(self, smoke_document):
         lines = smoke_document["jsonl"].read_text().splitlines()

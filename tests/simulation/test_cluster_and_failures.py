@@ -150,20 +150,24 @@ class TestFailureInjection:
         assert cluster.metrics.dropped_messages >= 1
 
     def test_drops_are_accounted_at_delivery_not_at_send(self):
-        """Fail-stop loses messages in transit: the send itself is recorded
+        """Fail-stop loses messages in transit: the send itself is counted
         as a normal send, and the drop counter moves only when the delivery
         reaches the crashed node."""
         cluster = build_fault_tolerant_cluster(8, delay_model=ConstantDelay(1.0))
         cluster.fail_node(5, at=0.5)
         cluster.request_cs(6, at=1.0, hold=0.5)  # father of 6 is 5
         cluster.run(until=1.5)  # request sent at t=1.0, arrives at t=2.0
-        assert cluster.metrics.total_messages() >= 1
-        assert cluster.metrics.dropped_messages == 0
-        assert all(not record.dropped for record in cluster.metrics.sent_messages)
-        cluster.run(until=2.5)  # the delivery now hits the crashed node
-        assert cluster.metrics.dropped_messages >= 1
-        # Send-time records never carry the dropped flag.
-        assert all(not record.dropped for record in cluster.metrics.sent_messages)
+        metrics = cluster.metrics
+        sent = metrics.total_messages()
+        assert sent >= 1
+        assert metrics.dropped_messages == 0
+        assert metrics.total_messages(include_dropped=False) == sent
+        assert cluster.simulator.step()  # exactly the doomed delivery
+        assert cluster.now == 2.0
+        # Dropping the delivery sends nothing and counts one drop.
+        assert metrics.total_messages() == sent
+        assert metrics.dropped_messages == 1
+        assert metrics.total_messages(include_dropped=False) == sent - 1
 
     def test_failed_node_ignores_timers_and_requests(self):
         cluster = build_fault_tolerant_cluster(8, delay_model=ConstantDelay(1.0))

@@ -186,7 +186,6 @@ class TestScenarioIntegration:
         assert row["safety_ok"] is True
         assert row["liveness_ok"] is True
         assert row["analysis_ok"] is True
-        assert row["sent_messages_records"] == 0
         assert row["waiting_p50"] <= row["waiting_p90"] <= row["waiting_p99"]
         assert row["quantiles"]["messages_per_request"]["count"] == 80
         assert len(row["series"]["samples"]) <= 8
